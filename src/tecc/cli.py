@@ -48,7 +48,6 @@ class RunConfig:
     trials: int = 1000
     samples: int = 10_000
     errors: int = 3
-    workers: int = 1
     format: str = "table"
     out: str | None = None
 
@@ -90,7 +89,7 @@ def cmd_verify(config: RunConfig) -> int:
     apn = is_apn(ctx, pair.f_table)
     stages.append(("apn", apn, f"x^{pair.d1} differential uniformity <= 2: {apn}"))
 
-    report = full_spectrum(ctx, pair, workers=config.workers)
+    report = full_spectrum(ctx, pair)
     stages.append(("five_valued", report.five_valued,
                    f"support {sorted(report.histogram)} witness {report.witness}"))
 
@@ -141,7 +140,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_spectrum(config: RunConfig) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
-    report = full_spectrum(ctx, pair, workers=config.workers)
+    report = full_spectrum(ctx, pair)
     _emit(config, report.to_json_dict())
     return 0 if report.five_valued else 1
 
@@ -186,6 +185,8 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def cmd_distance(config: RunConfig) -> int:
+    if config.n > 7:
+        raise ValueError(f"both distance oracles are limited to n <= 7; got n={config.n}")
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     payload: dict = {"family": config.family, "n": config.n, "k": config.k}
@@ -194,12 +195,9 @@ def cmd_distance(config: RunConfig) -> int:
         d = min_distance_bruteforce(ctx, pair)
         payload["min_distance_bruteforce"] = d
         ok &= d == 7
-    if config.n <= 7:
-        distinct = weight3_syndromes_distinct(ctx, pair)
-        payload["weight3_syndromes_distinct"] = distinct
-        ok &= distinct
-    if config.n > 7:
-        payload["note"] = "both distance oracles are limited to n <= 7"
+    distinct = weight3_syndromes_distinct(ctx, pair)
+    payload["weight3_syndromes_distinct"] = distinct
+    ok &= distinct
     _emit(config, payload)
     return 0 if ok else 1
 
@@ -207,7 +205,7 @@ def cmd_distance(config: RunConfig) -> int:
 def cmd_macwilliams(config: RunConfig) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
-    report = full_spectrum(ctx, pair, workers=config.workers)
+    report = full_spectrum(ctx, pair)
     dual = dual_weights_from_spectrum(ctx, pair, report)
     dist = macwilliams_transform(dual, 3 * config.n)
     payload = {
@@ -223,6 +221,8 @@ def cmd_macwilliams(config: RunConfig) -> int:
 
 
 def cmd_decode_sim(config: RunConfig) -> int:
+    if config.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {config.trials}")
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     H = build_parity_check(ctx, pair)
@@ -277,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--samples", type=int, default=10_000)
         p.add_argument("--errors", type=int, default=3, choices=(0, 1, 2, 3))
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--out")
     return parser
@@ -301,7 +300,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         trials=args.trials,
         samples=args.samples,
         errors=args.errors,
-        workers=args.workers,
         format=args.format,
         out=args.out,
     )
@@ -312,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
-    except (ConditionViolated, DegeneratePair, RankDefect, NonIntegralResult, ValueError) as exc:
+    except (ConditionViolated, DegeneratePair, RankDefect, NonIntegralResult, ValueError,
+            OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True))
         return 2

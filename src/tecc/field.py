@@ -157,6 +157,13 @@ class FieldCtx:
             return 0
         return self._exp[self._log[x] + self._log[y]]
 
+    def mul_array(self, x, y) -> np.ndarray:
+        """Elementwise x * y over broadcasting int arrays (or scalars)."""
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        out = self._exp_np[self._log_np[x] + self._log_np[y]]
+        return np.where((x == 0) | (y == 0), 0, out)
+
     def sqr(self, x: int) -> int:
         if x == 0:
             return 0

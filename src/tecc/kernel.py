@@ -34,7 +34,7 @@ import numpy as np
 from . import gf2
 from .field import FieldCtx
 from .functions import MonomialPair
-from .spectrum import spectrum_for_bc, transform_single
+from .spectrum import transform_rows, transform_single
 
 
 @dataclass
@@ -264,14 +264,15 @@ def gold_kernel_scan(
     s_counts: dict[int, int] = {}
     failures: list[tuple[int, int]] = []
     checked = 0
+    cs = np.arange(1, order)
     for b in range(1, order):
-        for c in range(1, order):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
+        for c, values in zip(cs.tolist(), rows):
             lmap = gold_map(ctx, t, k, b, c)
             s = len(lmap.kernel_basis())
             s_counts[s] = s_counts.get(s, 0) + 1
             max_s = max(max_s, s)
-            values = spectrum_for_bc(ctx, pair, b, c)
-            sq = np.unique(values.astype(np.int64) ** 2)
+            sq = np.unique(values ** 2)
             ok = set(sq.tolist()) <= {0, 1 << (ctx.n + s)}
             if (values != 0).any() and s % 2 == 0:
                 ok = False
@@ -377,6 +378,8 @@ def kasami_kernel_scan(
     order = ctx.order
     if exhaustive is None:
         exhaustive = ctx.n == 5
+    if not exhaustive and samples < 1:
+        raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
     rng = random.Random(seed)
 
     # The substitution x -> x^(2^k+1) must be a permutation of L.

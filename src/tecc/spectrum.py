@@ -15,8 +15,8 @@ is permutation-invariant; per-index values always come from the naive sum.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -83,13 +83,19 @@ def fwht_inplace(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _scaled_table(ctx: FieldCtx, coeff: int, table_np: np.ndarray) -> np.ndarray:
-    """coeff * table[x] for all x, vectorized through the log/antilog tables."""
-    if coeff == 0:
-        return np.zeros(ctx.order, dtype=np.int64)
-    out = ctx._exp_np[ctx._log[coeff] + ctx._log_np[table_np]]
-    out[table_np == 0] = 0
-    return out
+def transform_rows(
+    ctx: FieldCtx, f_np: np.ndarray, g_np: np.ndarray, b: int, cs
+) -> np.ndarray:
+    """FWHT rows of (-1)^Tr(b*f(x) + c*g(x)), one row per c in cs.
+
+    Row i is the multiset of F(a, b, cs[i]) over a (see the module
+    docstring).  Values are int16 up to n = 13 and int32 above, so widen
+    before squaring.
+    """
+    cs = np.asarray(cs, dtype=np.int64)
+    masked = ctx.mul_array(b, f_np) ^ ctx.mul_array(cs[:, None], g_np)
+    acc = np.int16 if ctx.order < (1 << 15) else np.int32  # sums reach +-2^n
+    return fwht_inplace(1 - 2 * ctx.trace_table[masked].astype(acc))
 
 
 def spectrum_for_bc(ctx: FieldCtx, pair: MonomialPair, b: int, c: int) -> np.ndarray:
@@ -98,107 +104,58 @@ def spectrum_for_bc(ctx: FieldCtx, pair: MonomialPair, b: int, c: int) -> np.nda
     As a multiset this equals {transform_single(a, b, c) : a in L}; the
     per-index correspondence is permuted (see module docstring).
     """
-    masked = _scaled_table(ctx, b, pair.f_np) ^ _scaled_table(ctx, c, pair.g_np)
-    signs = (1 - 2 * ctx.trace_table[masked].astype(np.int32)).reshape(1, ctx.order)
-    return fwht_inplace(signs)[0]
+    return transform_rows(ctx, pair.f_np, pair.g_np, b, [c])[0]
 
 
-def _stratum_histograms(
-    ctx: FieldCtx,
-    f_np: np.ndarray,
-    g_np: np.ndarray,
-    b_values: range,
-) -> tuple[np.ndarray, list[int]]:
-    """Accumulated value histogram over b in b_values and all c != 0, a in L.
-
-    Returns (hist, bad_b): hist[i] counts transform value V = 2*i - 2^n;
-    bad_b lists b values whose row batch produced values outside the
-    five-value set.  Row sums and Parseval are checked for every (b, c).
-    """
-    order = ctx.order
-    group = ctx.group_order
-    exp = ctx._exp_np
-    logt = ctx._log_np
-    tr = ctx.trace_table
-
-    # c * g(x) for every c != 0 at once; column x = 0 is identically zero.
-    log_g = logt[g_np[1:]]
-    cg = np.zeros((group, order), dtype=np.int64)
-    cg[:, 1:] = exp[logt[1:order, None] + log_g[None, :]]
-
-    log_f = logt[f_np[1:]]
-    allowed_idx = np.zeros(order + 1, dtype=bool)
-    for v in allowed_values(ctx.n):
-        allowed_idx[(v + order) >> 1] = True
-
-    hist = np.zeros(order + 1, dtype=np.int64)
-    bad_b: list[int] = []
-    parseval = order * order
-    acc = np.int16 if order < (1 << 15) else np.int32  # sums reach +-2^n
-    for b in b_values:
-        bf = np.zeros(order, dtype=np.int64)
-        bf[1:] = exp[ctx._log[b] + log_f]
-        signs = (1 - 2 * tr[bf[None, :] ^ cg].astype(acc))
-        w = fwht_inplace(signs)
-        if not (w.sum(axis=1, dtype=np.int64) == order).all():
-            raise ArithmeticError(f"transform row sum != 2^n at b={b}")
-        if not ((w.astype(np.int64) ** 2).sum(axis=1) == parseval).all():
-            raise ArithmeticError(f"Parseval violated at b={b}")
-        batch = np.bincount((w.ravel().astype(np.int64) + order) >> 1, minlength=order + 1)
-        hist += batch
-        if (batch[~allowed_idx] != 0).any():
-            bad_b.append(b)
-    return hist, bad_b
+def _value_counts(order: int, rows: np.ndarray) -> np.ndarray:
+    """counts[i] is how often value 2*i - 2^n occurs in rows."""
+    return np.bincount((rows.ravel().astype(np.int64) + order) >> 1, minlength=order + 1)
 
 
-def _spectrum_chunk(args) -> tuple[np.ndarray, list[int]]:
-    ctx, pair, b_lo, b_hi = args
-    return _stratum_histograms(ctx, pair.f_np, pair.g_np, range(b_lo, b_hi))
+def _as_histogram(order: int, counts: np.ndarray) -> dict[int, int]:
+    return {int(2 * i - order): int(cnt) for i, cnt in enumerate(counts) if cnt}
 
 
-def _find_witness(ctx: FieldCtx, pair: MonomialPair, b_candidates: list[int]) -> tuple[int, int, int]:
-    """Recover a concrete offending (a, b, c) with the naive oracle."""
+def _find_witness(ctx: FieldCtx, pair: MonomialPair) -> tuple[int, int, int]:
+    """The first offending (a, b, c) in (b, c, a) order, by the naive oracle."""
     ok = allowed_values(ctx.n)
-    for b in b_candidates:
-        for c in range(1, ctx.order):
-            values = spectrum_for_bc(ctx, pair, b, c)
-            if all(int(v) in ok for v in values):
-                continue
+    cs = np.arange(1, ctx.order)
+    for b in range(1, ctx.order):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
+        for c in cs[~np.isin(rows, list(ok)).all(axis=1)].tolist():
             for a in range(ctx.order):
                 if transform_single(ctx, pair, a, b, c) not in ok:
                     return (a, b, c)
-    raise AssertionError("offending batch vanished on rescan")  # pragma: no cover
+    raise AssertionError("offending row vanished on rescan")  # pragma: no cover
 
 
-def full_spectrum(ctx: FieldCtx, pair: MonomialPair, workers: int = 1) -> SpectrumReport:
+def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     """Exhaustive transform histogram over b, c in L* and the five-value verdict.
 
-    Each (b, c) batch is independent; workers > 1 fans the b range out to a
-    process pool and merges the histograms by summation.
+    The substitution x -> lambda*x gives F(a, b, c) = F(lambda*a,
+    lambda^d1*b, lambda^d2*c), so every b row has the histogram of a row
+    b = g^i, i < e = gcd(d1, 2^n - 1), and each of those stands for
+    (2^n - 1)/e values of b.  Row sums and Parseval are checked on every
+    row computed.
     """
     order = ctx.order
-    if workers > 1:
-        step = (ctx.group_order + workers - 1) // workers
-        chunks = [
-            (ctx, pair, lo, min(lo + step, order))
-            for lo in range(1, order, step)
-        ]
-        hist = np.zeros(order + 1, dtype=np.int64)
-        bad_b: list[int] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, bad in pool.map(_spectrum_chunk, chunks):
-                hist += part
-                bad_b.extend(bad)
-    else:
-        hist, bad_b = _stratum_histograms(ctx, pair.f_np, pair.g_np, range(1, order))
-
-    histogram = {int(2 * i - order): int(cnt) for i, cnt in enumerate(hist) if cnt}
-    expected_total = order * ctx.group_order**2
-    if sum(histogram.values()) != expected_total:  # pragma: no cover
+    e = gcd(pair.d1, ctx.group_order)
+    cs = np.arange(1, order)
+    counts = np.zeros(order + 1, dtype=np.int64)
+    for i in range(e):
+        b = ctx.pow(ctx.generator, i)
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
+        if not (rows.sum(axis=1, dtype=np.int64) == order).all():
+            raise ArithmeticError(f"transform row sum != 2^n at b={b}")
+        if not ((rows.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
+            raise ArithmeticError(f"Parseval violated at b={b}")
+        counts += _value_counts(order, rows)
+    histogram = _as_histogram(order, counts * (ctx.group_order // e))
+    if sum(histogram.values()) != order * ctx.group_order**2:  # pragma: no cover
         raise ArithmeticError("histogram mass mismatch")
 
-    five = not bad_b
-    witness = None if five else _find_witness(ctx, pair, sorted(bad_b))
+    five = set(histogram) <= allowed_values(ctx.n)
+    witness = None if five else _find_witness(ctx, pair)
     return SpectrumReport(
         n=ctx.n,
         histogram=histogram,
@@ -215,14 +172,5 @@ def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]
     Used for the dual-code strata where exactly one of the pair's functions
     has a zero coefficient.
     """
-    order = ctx.order
-    exp = ctx._exp_np
-    logt = ctx._log_np
-    log_h = logt[table_np[1:]]
-    bh = np.zeros((ctx.group_order, order), dtype=np.int64)
-    bh[:, 1:] = exp[logt[1:order, None] + log_h[None, :]]
-    acc = np.int16 if order < (1 << 15) else np.int32
-    signs = (1 - 2 * ctx.trace_table[bh].astype(acc))
-    w = fwht_inplace(signs)
-    hist = np.bincount((w.ravel().astype(np.int64) + order) >> 1, minlength=order + 1)
-    return {int(2 * i - order): int(cnt) for i, cnt in enumerate(hist) if cnt}
+    rows = transform_rows(ctx, table_np, table_np, 0, np.arange(1, ctx.order))
+    return _as_histogram(ctx.order, _value_counts(ctx.order, rows))

@@ -16,7 +16,7 @@ from tecc import (
     make_ctx,
     systematic_generator,
 )
-from tecc.spectrum import _scaled_table
+from tecc.spectrum import transform_rows
 
 FAMILIES = ("gold2", "gold3", "th", "kasami5")
 
@@ -81,10 +81,20 @@ def direct_spectrum(ctx, pair, b: int, c: int) -> np.ndarray:
 
     Index-faithful: entry a equals transform_single(ctx, pair, a, b, c).
     """
-    order = ctx.order
-    masked = _scaled_table(ctx, b, pair.f_np) ^ _scaled_table(ctx, c, pair.g_np)
-    logs = ctx._log_np[np.arange(1, order)]
-    ax = np.zeros((order, order), dtype=np.int64)
-    ax[1:, 1:] = ctx._exp_np[logs[:, None] + logs[None, :]]
+    xs = np.arange(ctx.order)
+    masked = ctx.mul_array(b, pair.f_np) ^ ctx.mul_array(c, pair.g_np)
+    ax = ctx.mul_array(xs[:, None], xs[None, :])
     signs = 1 - 2 * ctx.trace_table[ax ^ masked[None, :]].astype(np.int64)
     return signs.sum(axis=1)
+
+
+def unreduced_histogram(ctx, pair) -> dict[int, int]:
+    """The (a, b, c) value histogram over b, c in L*, one row batch per b,
+    with no orbit reduction."""
+    order = ctx.order
+    cs = np.arange(1, order)
+    counts = np.zeros(2 * order + 1, dtype=np.int64)
+    for b in range(1, order):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
+        counts += np.bincount(rows.ravel().astype(np.int64) + order, minlength=2 * order + 1)
+    return {v - order: int(cnt) for v, cnt in enumerate(counts) if cnt}

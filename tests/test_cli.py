@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tecc.cli import fork_seed, main
 
 
@@ -131,3 +133,31 @@ def test_fork_seed_stable_and_label_sensitive():
     assert fork_seed(42, "decode-sim") == fork_seed(42, "decode-sim")
     assert fork_seed(42, "decode-sim") != fork_seed(42, "kernel")
     assert fork_seed(1, "kernel") != fork_seed(2, "kernel")
+
+
+def test_decode_sim_rejects_no_trials(capsys):
+    code, out = run_cli(capsys, "decode-sim", "gold2", "--n", "5", "--trials", "0")
+    assert code == 2
+    assert "--trials" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_kernel_rejects_empty_sample(capsys, samples):
+    code, out = run_cli(capsys, "kernel", "kasami5", "--n", "7", "--samples", samples)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_distance_beyond_oracle_limit_rejected(capsys):
+    code, out = run_cli(capsys, "distance", "gold2", "--n", "9")
+    assert code == 2
+    assert "n <= 7" in json.loads(out)["message"]
+
+
+def test_unwritable_out_path_rejected(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out = run_cli(capsys, "spectrum", "gold2", "--n", "5", "--format", "json",
+                        "--out", str(target))
+    assert code == 2
+    assert json.loads(out)["error"] == "FileNotFoundError"
+    assert not target.exists()

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from tecc.field import FieldCtx, SUPPORTED_DEGREES, is_irreducible, make_ctx, poly_mod
@@ -70,18 +71,13 @@ def test_trace_balancedness_n5():
 
 def test_trace_table_matches_power_sums_everywhere():
     # Tr(x) = x + x^2 + ... + x^(2^(n-1)), exhaustively for every degree
-    import numpy as np
-
     for n in SUPPORTED_DEGREES:
         ctx = get_ctx(n)
         xs = np.arange(ctx.order, dtype=np.int64)
-        logs = ctx._log_np.copy()
         term = xs.copy()
         acc = xs.copy()
         for _ in range(n - 1):
-            squared = ctx._exp_np[(2 * logs[term]) % ctx.group_order]
-            squared[term == 0] = 0
-            term = squared
+            term = ctx.mul_array(term, term)
             acc ^= term
         assert set(np.unique(acc).tolist()) <= {0, 1}
         assert (acc.astype(np.uint8) == ctx.trace_table).all()
@@ -126,6 +122,13 @@ def test_table_multiply_agrees_with_raw_multiply():
         for _ in range(3000):
             x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
             assert ctx.mul(x, y) == ctx._mul_raw(x, y)
+    # the broadcasting array multiply, exhaustively at n = 5, zeros included
+    ctx = get_ctx(5)
+    xs = np.arange(ctx.order)
+    table = ctx.mul_array(xs[:, None], xs)
+    assert table.tolist() == [[ctx._mul_raw(x, y) for y in range(32)] for x in range(32)]
+    assert ctx.mul_array(7, xs).tolist() == table[7].tolist()
+    assert int(ctx.mul_array(0, 5)) == 0
 
 
 def test_multiplicative_identity_and_alpha_products():

@@ -1,18 +1,21 @@
 """Transform values, FWHT fast path, five-value certification."""
 
 import random
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from tecc import (
     allowed_values,
     full_spectrum,
     monomial_pair,
+    single_table_spectrum,
     spectrum_for_bc,
     transform_single,
 )
 
-from helpers import direct_spectrum, get_ctx, get_pair, get_report
+from helpers import FAMILIES, direct_spectrum, get_ctx, get_pair, get_report, unreduced_histogram
 
 # Frozen by the naive oracle (transform_single) for gold2 k=1 over GF(2^5).
 GOLD2_N5_F_011 = -8
@@ -143,13 +146,30 @@ def test_non_five_valued_pair_yields_checkable_witness():
     assert transform_single(ctx, pair, a, b, c) not in allowed_values(5)
 
 
-def test_workers_fanout_matches_single_threaded():
-    ctx = get_ctx(5)
-    pair = get_pair("th", 5)
-    solo = full_spectrum(ctx, pair, workers=1)
-    fanned = full_spectrum(ctx, pair, workers=2)
-    assert solo.histogram == fanned.histogram
-    assert solo.five_valued == fanned.five_valued
+@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7) for f in FAMILIES] + [("kasami5", 9)])
+def test_reduced_scan_matches_unreduced_oracle(family, n):
+    # every family has e = gcd(d1, 2^n - 1) = 1: one b row stands for all
+    assert get_report(family, n).histogram == unreduced_histogram(get_ctx(n), get_pair(family, n))
+
+
+def test_reduced_scan_with_several_b_orbits():
+    # gcd(7, 2^9 - 1) = 7, so the scan needs the rows b = g^0 .. g^6
+    ctx = get_ctx(9)
+    pair = monomial_pair(ctx, 7, 3)
+    report = full_spectrum(ctx, pair)
+    assert report.histogram == unreduced_histogram(ctx, pair)
+    a, b, c = report.witness
+    assert transform_single(ctx, pair, a, b, c) not in allowed_values(9)
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7) for f in FAMILIES])
+def test_single_table_spectrum_matches_rows(family, n):
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    f_rows = Counter(int(v) for b in ctx.nonzero() for v in spectrum_for_bc(ctx, pair, b, 0))
+    g_rows = Counter(int(v) for c in ctx.nonzero() for v in spectrum_for_bc(ctx, pair, 0, c))
+    assert single_table_spectrum(ctx, pair.f_np) == f_rows
+    assert single_table_spectrum(ctx, pair.g_np) == g_rows
 
 
 def test_report_json_shape():
