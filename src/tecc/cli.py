@@ -259,8 +259,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors also print the JSON error record on stdout, then exit 2
+    with the usage text on stderr as argparse does."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": "ArgumentError", "message": message}, sort_keys=True))
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tecc",
         description="triple-error-correcting codes from power-function pairs over GF(2^n)",
     )

@@ -10,7 +10,8 @@ over the transform values of the corresponding (a, b, c) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from . import gf2
 from .field import FieldCtx
@@ -206,26 +207,19 @@ def weight3_syndromes_distinct(ctx: FieldCtx, pair: MonomialPair) -> bool:
     """True iff all error patterns of weight <= 3 have distinct syndromes.
 
     Equivalent to minimum distance >= 7, independently of any transform
-    computation.  The triple scan is kept to n <= 7 (C(127,3) patterns).
+    computation.  Columns are packed as 3n-bit ints (x, f, g blocks, LSB
+    first); every pattern's syndrome is built by index arithmetic and the
+    sorted syndromes must not repeat.  Kept to n <= 7 (C(127,3) patterns).
     """
     if ctx.n > 7:
         raise ValueError("triple syndrome scan is limited to n <= 7")
-    f = pair.f_table
-    g = pair.g_table
-    seen = {(0, 0, 0)}
-    cols = [(x, f[x], g[x]) for x in range(1, ctx.order)]
-    for s in cols:
-        if s in seen:
-            return False
-        seen.add(s)
-    for (x1, f1, g1), (x2, f2, g2) in combinations(cols, 2):
-        s = (x1 ^ x2, f1 ^ f2, g1 ^ g2)
-        if s in seen:
-            return False
-        seen.add(s)
-    for (x1, f1, g1), (x2, f2, g2), (x3, f3, g3) in combinations(cols, 3):
-        s = (x1 ^ x2 ^ x3, f1 ^ f2 ^ f3, g1 ^ g2 ^ g3)
-        if s in seen:
-            return False
-        seen.add(s)
-    return True
+    n = ctx.n
+    cols = np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)
+    i, j = np.triu_indices(cols.size, 1)
+    pairs = cols[i] ^ cols[j]
+    # pair (i, j) extends to the triples (i, j, l) with j < l
+    reps = cols.size - 1 - j
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    triples = np.repeat(pairs, reps) ^ cols[np.repeat(j + 1, reps) + offset]
+    syndromes = np.sort(np.concatenate(([0], cols, pairs, triples)))
+    return bool((syndromes[1:] != syndromes[:-1]).all())

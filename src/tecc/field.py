@@ -188,6 +188,13 @@ class FieldCtx:
             return 0
         return self._exp[(self._log[x] << (k % self.n)) % self.group_order]
 
+    def frobenius_array(self, x, k) -> np.ndarray:
+        """Elementwise x^(2^(k mod n)) over broadcasting int arrays (or scalars)."""
+        x = np.asarray(x, dtype=np.int64)
+        shift = np.asarray(k, dtype=np.int64) % self.n
+        out = self._exp_np[(self._log_np[x] << shift) % self.group_order]
+        return np.where(x == 0, 0, out)
+
     def trace(self, x: int) -> int:
         return self._trace_list[x]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def row_reduce(rows: list[int], ncols: int) -> tuple[int, list[int], list[int]]:
     """Reduced row echelon form, pivoting on the lowest-index columns.
@@ -28,6 +30,25 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[int, list[int], list[int]]:
         if rank == len(work):
             break
     return rank, work, pivots
+
+
+def rank_array(rows, ncols: int) -> np.ndarray:
+    """GF(2) rank of every matrix in a batch, by array Gaussian elimination.
+
+    rows[i] holds the row bitmasks of matrix i, shape (batch, rows).  For
+    each column the first row holding it is xored into every row holding
+    it, itself included, which takes the pivot row out of the matrix.
+    """
+    work = np.array(rows, dtype=np.int64)
+    batch = np.arange(work.shape[0])
+    rank = np.zeros(work.shape[0], dtype=np.int64)
+    for col in range(ncols):
+        has = ((work >> col) & 1).astype(bool)
+        pivot = has.argmax(axis=1)
+        found = has[batch, pivot]
+        work ^= np.where(has, work[batch, pivot][:, None], 0)
+        rank += found
+    return rank
 
 
 def nullspace_basis(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:

@@ -36,6 +36,8 @@ from .field import FieldCtx
 from .functions import MonomialPair
 from .spectrum import transform_rows, transform_single
 
+_CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 array batch
+
 
 @dataclass
 class LinearizedMap:
@@ -82,16 +84,29 @@ def kernel_of(lmap: LinearizedMap) -> list[int]:
     return gf2.span(lmap.kernel_basis())
 
 
+def _gold_terms(frob, t: int, k: int, b, c) -> list:
+    """The (coeff, shift) terms of the gold L(u); frob is ctx.frobenius or,
+    for coefficient arrays, ctx.frobenius_array."""
+    return [(b, k), (frob(b, -k), -k), (c, t * k), (frob(c, -t * k), -t * k)]
+
+
+def _kasami_terms(frob, k: int, a, b, c) -> list:
+    """The (coeff, shift) terms of the kasami5 L(u), as in _gold_terms."""
+    return [
+        (a, k),
+        (frob(a, -k), -k),
+        (b, 3 * k),
+        (frob(b, -3 * k), -3 * k),
+        (c, 5 * k),
+        (frob(c, -5 * k), -5 * k),
+    ]
+
+
 def gold_map(ctx: FieldCtx, t: int, k: int, b: int, c: int) -> LinearizedMap:
     """The four-term L(u) for the pair {x^(2^k+1), x^(2^(tk)+1)}."""
     if b == 0 and c == 0:
         raise ValueError("at least one of b, c must be nonzero")
-    terms = [
-        (b, k),
-        (ctx.frobenius(b, -k), -k),
-        (c, t * k),
-        (ctx.frobenius(c, -t * k), -t * k),
-    ]
+    terms = _gold_terms(ctx.frobenius, t, k, b, c)
     return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
 
 
@@ -99,15 +114,17 @@ def kasami_map(ctx: FieldCtx, k: int, a: int, b: int, c: int) -> LinearizedMap:
     """The six-term L(u) for the substituted kasami5 transform."""
     if a == 0 and b == 0 and c == 0:
         raise ValueError("at least one of a, b, c must be nonzero")
-    terms = [
-        (a, k),
-        (ctx.frobenius(a, -k), -k),
-        (b, 3 * k),
-        (ctx.frobenius(b, -3 * k), -3 * k),
-        (c, 5 * k),
-        (ctx.frobenius(c, -5 * k), -5 * k),
-    ]
+    terms = _kasami_terms(ctx.frobenius, k, a, b, c)
     return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
+
+
+def _eval_terms(ctx: FieldCtx, terms: list, us: np.ndarray) -> np.ndarray:
+    """sum of coeff * u^(2^shift) over the terms, one row per coefficient:
+    (batch,) coefficient arrays against the points us give (batch, len(us))."""
+    out = 0
+    for coeff, shift in terms:
+        out = out ^ ctx.mul_array(np.asarray(coeff)[..., None], ctx.frobenius_array(us, shift))
+    return out
 
 
 def kasami_quadratic(ctx: FieldCtx, k: int, a: int, b: int, c: int, u: int) -> int:
@@ -248,55 +265,51 @@ def gold_kernel_scan(
 ) -> GoldKernelSummary:
     """Scan every (b, c) in L* x L* for a gold2/gold3 pair.
 
-    For each (b, c): extracts s = dim ker L by Gaussian elimination and
+    For each b: builds the columns L(alpha^j) of the maps for every c at
+    once, gets every s = dim ker L from one array Gaussian elimination, and
     checks, against the full FWHT value multiset over a, that every squared
     value lies in {0, 2^(n+s)} and that s is odd whenever a nonzero value
-    occurs.  A random subsample is cross-checked with the naive sum.
+    occurs.  A random subsample is cross-checked with the naive sum and
+    with the scalar kernel basis.
     """
     if pair.family not in ("gold2", "gold3"):
         raise ValueError(f"kernel scan expects a gold2 or gold3 pair, got {pair.family}")
     t = 2 if pair.family == "gold2" else 3
     k = pair.param
-    rng = random.Random(seed)
+    n = ctx.n
     order = ctx.order
 
-    max_s = 0
-    s_counts: dict[int, int] = {}
     failures: list[tuple[int, int]] = []
-    checked = 0
     cs = np.arange(1, order)
+    basis = 1 << np.arange(n)
+    s_all = np.empty((order - 1, order - 1), dtype=np.int64)  # s at (b, c)
     for b in range(1, order):
-        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
-        for c, values in zip(cs.tolist(), rows):
-            lmap = gold_map(ctx, t, k, b, c)
-            s = len(lmap.kernel_basis())
-            s_counts[s] = s_counts.get(s, 0) + 1
-            max_s = max(max_s, s)
-            sq = np.unique(values ** 2)
-            ok = set(sq.tolist()) <= {0, 1 << (ctx.n + s)}
-            if (values != 0).any() and s % 2 == 0:
-                ok = False
-            if not ok:
-                failures.append((b, c))
-            checked += 1
-    if oracle_samples:
-        for _ in range(oracle_samples):
-            a = rng.randrange(order)
-            b = rng.randrange(1, order)
-            c = rng.randrange(1, order)
-            lmap = gold_map(ctx, t, k, b, c)
-            s = len(lmap.kernel_basis())
-            fw = transform_single(ctx, pair, a, b, c)
-            if fw * fw not in (0, 1 << (ctx.n + s)):
-                failures.append((b, c))
+        cols = _eval_terms(ctx, _gold_terms(ctx.frobenius_array, t, k, b, cs), basis)
+        s = n - gf2.rank_array(cols, n)
+        s_all[b - 1] = s
+        values = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
+        sq = values ** 2
+        ok = ((sq == 0) | (sq == 1 << (n + s)[:, None])).all(axis=1)
+        ok &= ~((values != 0).any(axis=1) & (s % 2 == 0))
+        failures += [(b, c) for c in cs[~ok].tolist()]
+    rng = random.Random(seed)
+    for _ in range(oracle_samples):
+        a = rng.randrange(order)
+        b = rng.randrange(1, order)
+        c = rng.randrange(1, order)
+        s = len(gold_map(ctx, t, k, b, c).kernel_basis())
+        fw = transform_single(ctx, pair, a, b, c)
+        if s != s_all[b - 1, c - 1] or fw * fw not in (0, 1 << (n + s)):
+            failures.append((b, c))
+    s_values, s_freq = np.unique(s_all, return_counts=True)
     return GoldKernelSummary(
         family=pair.family,
-        n=ctx.n,
+        n=n,
         k=k,
         t=t,
-        pairs_checked=checked,
-        max_s=max_s,
-        s_counts=s_counts,
+        pairs_checked=s_all.size,
+        max_s=int(s_all.max()),
+        s_counts=dict(zip(s_values.tolist(), s_freq.tolist())),
         all_consistent=not failures,
         failures=failures,
     )
@@ -333,29 +346,71 @@ class KasamiKernelSummary:
         }
 
 
-def _check_kasami_triple(
-    ctx: FieldCtx, pair: MonomialPair, k: int, a: int, b: int, c: int
-) -> tuple[KernelReport, bool]:
-    """Build one KernelReport and run every per-triple identity check."""
-    lmap = kasami_map(ctx, k, a, b, c)
-    kern = kernel_of(lmap)
-    s = len(kern).bit_length() - 1
-    s0 = sum(1 for u in kern if ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
-    s1 = len(kern) - s0
-    fw = transform_single(ctx, pair, a, b, c)
+def _kasami_q_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
+    """Q(u) at every point of us, one row per (a, b, c) of the batch."""
+    q = 0
+    for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
+        uu = ctx.mul_array(ctx.frobenius_array(us, shift), us)
+        q = q ^ ctx.mul_array(np.asarray(coeff)[..., None], uu)
+    return q
 
-    ok = fw * fw == ctx.order * (s0 - s1)
-    ok &= (s0 - s1) in (0, len(kern))
-    if fw != 0:
-        ok &= s1 == 0 and s0 in (2, 8)
+
+def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
+    """G(u) at every point of us, one row per (a, b, c) of the batch."""
+    coeffs = (a, b, c)
+    g = 0
+    for which, cf, s1, s2 in _G_TERMS:
+        coeff = ctx.frobenius_array(coeffs[which], cf * k)
+        uu = ctx.mul_array(ctx.frobenius_array(us, s1 * k), ctx.frobenius_array(us, s2 * k))
+        g = g ^ ctx.mul_array(coeff[..., None], uu)
+    return g
+
+
+def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
+    """Every per-triple identity check for a batch of (a, b, c) arrays.
+
+    Returns (s, kernel mask over u, S0 sizes, S1 sizes, Fw, consistent),
+    one entry or row per triple.
+    """
+    us = np.arange(ctx.order)
+    lvals = _eval_terms(ctx, _kasami_terms(ctx.frobenius_array, k, a, b, c), us)
+    s = ctx.n - gf2.rank_array(lvals[:, 1 << np.arange(ctx.n)], ctx.n)
+    in_kernel = lvals == 0
+    size = in_kernel.sum(axis=1)
+    tr_zero = ctx.trace_table[_kasami_q_array(ctx, k, a, b, c, us)] == 0
+    s0 = (in_kernel & tr_zero).sum(axis=1)
+    s1 = size - s0
+    fw = transform_single(ctx, pair, a, b, c)
+    g = _kasami_g_array(ctx, k, a, b, c, us)
+
+    ok = size == 1 << s
+    ok &= fw * fw == ctx.order * (s0 - s1)
+    ok &= (s0 - s1 == 0) | (s0 - s1 == size)
+    ok &= (fw == 0) | ((s1 == 0) & ((s0 == 2) | (s0 == 8)))
     # G detects kernel membership and the S0 split.
-    for u in kern:
-        g = kasami_g_form(ctx, k, a, b, c, u)
-        ok &= g in (0, 1)
-        ok &= (g == 0) == (ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
-        ok &= ctx.mul(u, lmap.eval_formula(u)) == g ^ ctx.frobenius(g, -k)
-    report = KernelReport(a, b, c, s, kern, s0, s1, fw, ok)
-    return report, ok
+    g_ok = ((g == 0) | (g == 1)) & ((g == 0) == tr_zero)
+    g_ok &= ctx.mul_array(us, lvals) == g ^ ctx.frobenius_array(g, -k)
+    ok &= (g_ok | ~in_kernel).all(axis=1)
+    return s, in_kernel, s0, s1, fw, ok
+
+
+def _triple_chunks(order: int, exhaustive: bool, samples: int, rng: random.Random):
+    """(a, b, c) arrays of at most _CHUNK_CELLS / 2^n triples: exhaustive in
+    (b, c, a) order, or drawn from rng one triple at a time."""
+    chunk = max(1, _CHUNK_CELLS // order)
+    if exhaustive:
+        total = order * (order - 1) ** 2
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total))
+            rest = idx // order
+            yield idx % order, 1 + rest // (order - 1), 1 + rest % (order - 1)
+    else:
+        for start in range(0, samples, chunk):
+            drawn = [
+                (rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
+                for _ in range(min(chunk, samples - start))
+            ]
+            yield tuple(np.array(drawn, dtype=np.int64).T)
 
 
 def kasami_kernel_scan(
@@ -392,43 +447,29 @@ def kasami_kernel_scan(
     for _ in range(32):
         a = rng.randrange(order)
         b, c = rng.randrange(1, order), rng.randrange(1, order)
-        total = 0
-        for x in range(order):
-            total += 1 - 2 * ctx.trace(kasami_quadratic(ctx, k, a, b, c, x))
+        q = _kasami_q_array(ctx, k, a, b, c, np.arange(order))
+        total = order - 2 * int(ctx.trace_table[q].sum())
         if total != transform_single(ctx, pair, a, b, c):
             substitution_ok = False
             break
-
-    if exhaustive:
-        triples = (
-            (a, b, c)
-            for b in range(1, order)
-            for c in range(1, order)
-            for a in range(order)
-        )
-        n_triples = order * (order - 1) ** 2
-    else:
-        triples = (
-            (rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
-            for _ in range(samples)
-        )
-        n_triples = samples
 
     failures: list[tuple[int, int, int]] = []
     reports: list[KernelReport] = []
     s0_nonzero: set[int] = set()
     max_s = 0
     checked = 0
-    for a, b, c in triples:
-        report, ok = _check_kasami_triple(ctx, pair, k, a, b, c)
-        checked += 1
-        max_s = max(max_s, report.s)
-        if report.Fw != 0:
-            s0_nonzero.add(report.S0_size)
-        if not ok:
-            failures.append((a, b, c))
-        if keep_reports < 0 or len(reports) < keep_reports:
-            reports.append(report)
+    for a, b, c in _triple_chunks(order, exhaustive, samples, rng):
+        s, in_kernel, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        keep = len(a) if keep_reports < 0 else min(len(a), keep_reports - len(reports))
+        for i in range(keep):
+            reports.append(KernelReport(
+                int(a[i]), int(b[i]), int(c[i]), int(s[i]), np.flatnonzero(in_kernel[i]).tolist(),
+                int(s0[i]), int(s1[i]), int(fw[i]), bool(ok[i]),
+            ))
+        checked += len(a)
+        max_s = max(max_s, int(s.max()))
+        s0_nonzero.update(s0[fw != 0].tolist())
+        failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
     return KasamiKernelSummary(
         n=ctx.n,
         k=k,

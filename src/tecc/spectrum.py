@@ -56,16 +56,17 @@ class SpectrumReport:
         }
 
 
-def transform_single(ctx: FieldCtx, pair: MonomialPair, a: int, b: int, c: int) -> int:
-    """Direct O(2^n) evaluation of F(a, b, c).  The reference oracle."""
-    mul = ctx.mul
-    tr = ctx._trace_list
-    f = pair.f_table
-    g = pair.g_table
-    total = 0
-    for x in range(ctx.order):
-        total += 1 - 2 * tr[mul(a, x) ^ mul(b, f[x]) ^ mul(c, g[x])]
-    return total
+def transform_single(ctx: FieldCtx, pair: MonomialPair, a, b, c):
+    """Direct O(2^n) evaluation of F(a, b, c).  The reference oracle.
+
+    a, b and c broadcast against each other: int arguments give an int,
+    array arguments an int64 array of F over the broadcast shape.
+    """
+    a, b, c = (np.asarray(v, dtype=np.int64)[..., None] for v in (a, b, c))
+    xs = np.arange(ctx.order)
+    masked = ctx.mul_array(a, xs) ^ ctx.mul_array(b, pair.f_np) ^ ctx.mul_array(c, pair.g_np)
+    total = ctx.order - 2 * ctx.trace_table[masked].sum(axis=-1, dtype=np.int64)
+    return int(total) if total.ndim == 0 else total
 
 
 def fwht_inplace(mat: np.ndarray) -> np.ndarray:

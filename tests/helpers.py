@@ -1,6 +1,9 @@
-"""Shared cached builders: expensive artifacts are computed once per run."""
+"""Shared cached builders: expensive artifacts are computed once per run,
+and the scalar oracles that the batched library paths are checked against."""
 
+import random
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -16,7 +19,17 @@ from tecc import (
     make_ctx,
     systematic_generator,
 )
-from tecc.spectrum import transform_rows
+from tecc.kernel import (
+    GoldKernelSummary,
+    KasamiKernelSummary,
+    KernelReport,
+    gold_map,
+    kasami_g_form,
+    kasami_map,
+    kasami_quadratic,
+    kernel_of,
+)
+from tecc.spectrum import transform_rows, transform_single
 
 FAMILIES = ("gold2", "gold3", "th", "kasami5")
 
@@ -88,6 +101,14 @@ def direct_spectrum(ctx, pair, b: int, c: int) -> np.ndarray:
     return signs.sum(axis=1)
 
 
+def loop_transform(ctx, pair, a: int, b: int, c: int) -> int:
+    """F(a, b, c) as a Python loop over x with scalar field arithmetic."""
+    f = pair.f_table
+    g = pair.g_table
+    return sum(1 - 2 * ctx.trace(ctx.mul(a, x) ^ ctx.mul(b, f[x]) ^ ctx.mul(c, g[x]))
+               for x in range(ctx.order))
+
+
 def unreduced_histogram(ctx, pair) -> dict[int, int]:
     """The (a, b, c) value histogram over b, c in L*, one row batch per b,
     with no orbit reduction."""
@@ -98,3 +119,122 @@ def unreduced_histogram(ctx, pair) -> dict[int, int]:
         rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
         counts += np.bincount(rows.ravel().astype(np.int64) + order, minlength=2 * order + 1)
     return {v - order: int(cnt) for v, cnt in enumerate(counts) if cnt}
+
+
+def scalar_gold_kernel_scan(ctx, pair, oracle_samples: int = 64, seed: int = 0):
+    """gold_kernel_scan with one gold_map and one elimination per (b, c)."""
+    t = 2 if pair.family == "gold2" else 3
+    k = pair.param
+    rng = random.Random(seed)
+    order = ctx.order
+    max_s = 0
+    s_counts: dict[int, int] = {}
+    failures: list[tuple[int, int]] = []
+    checked = 0
+    cs = np.arange(1, order)
+    for b in range(1, order):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
+        for c, values in zip(cs.tolist(), rows):
+            s = len(gold_map(ctx, t, k, b, c).kernel_basis())
+            s_counts[s] = s_counts.get(s, 0) + 1
+            max_s = max(max_s, s)
+            ok = set(np.unique(values ** 2).tolist()) <= {0, 1 << (ctx.n + s)}
+            if (values != 0).any() and s % 2 == 0:
+                ok = False
+            if not ok:
+                failures.append((b, c))
+            checked += 1
+    for _ in range(oracle_samples):
+        a = rng.randrange(order)
+        b = rng.randrange(1, order)
+        c = rng.randrange(1, order)
+        s = len(gold_map(ctx, t, k, b, c).kernel_basis())
+        fw = transform_single(ctx, pair, a, b, c)
+        if fw * fw not in (0, 1 << (ctx.n + s)):
+            failures.append((b, c))
+    return GoldKernelSummary(pair.family, ctx.n, k, t, checked, max_s, s_counts,
+                             not failures, failures)
+
+
+def scalar_kasami_triple(ctx, pair, k: int, a: int, b: int, c: int):
+    """One KernelReport and its consistency, by scalar field arithmetic."""
+    lmap = kasami_map(ctx, k, a, b, c)
+    kern = kernel_of(lmap)
+    s = len(kern).bit_length() - 1
+    s0 = sum(1 for u in kern if ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
+    s1 = len(kern) - s0
+    fw = transform_single(ctx, pair, a, b, c)
+
+    ok = fw * fw == ctx.order * (s0 - s1)
+    ok &= (s0 - s1) in (0, len(kern))
+    if fw != 0:
+        ok &= s1 == 0 and s0 in (2, 8)
+    for u in kern:
+        g = kasami_g_form(ctx, k, a, b, c, u)
+        ok &= g in (0, 1)
+        ok &= (g == 0) == (ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
+        ok &= ctx.mul(u, lmap.eval_formula(u)) == g ^ ctx.frobenius(g, -k)
+    return KernelReport(a, b, c, s, kern, s0, s1, fw, ok), ok
+
+
+def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
+                              exhaustive: bool | None = None):
+    """kasami_kernel_scan(keep_reports=-1), one scalar check per triple."""
+    k = pair.param
+    order = ctx.order
+    if exhaustive is None:
+        exhaustive = ctx.n == 5
+    rng = random.Random(seed)
+    permutation_ok = len({ctx.pow(x, (1 << k) + 1) for x in range(order)}) == order
+    substitution_ok = True
+    for _ in range(32):
+        a = rng.randrange(order)
+        b, c = rng.randrange(1, order), rng.randrange(1, order)
+        total = sum(1 - 2 * ctx.trace(kasami_quadratic(ctx, k, a, b, c, x)) for x in range(order))
+        if total != transform_single(ctx, pair, a, b, c):
+            substitution_ok = False
+            break
+    if exhaustive:
+        triples = [(a, b, c) for b in range(1, order) for c in range(1, order)
+                   for a in range(order)]
+    else:
+        triples = [(rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
+                   for _ in range(samples)]
+    reports = [scalar_kasami_triple(ctx, pair, k, *t)[0] for t in triples]
+    failures = [(r.a, r.b, r.c) for r in reports if not r.consistent]
+    return KasamiKernelSummary(
+        n=ctx.n,
+        k=k,
+        triples_checked=len(reports),
+        exhaustive=exhaustive,
+        permutation_ok=permutation_ok,
+        substitution_ok=substitution_ok,
+        all_consistent=not failures,
+        s0_sizes_nonzero_fw={r.S0_size for r in reports if r.Fw != 0},
+        max_s=max(r.s for r in reports),
+        failures=failures,
+        reports=reports,
+    )
+
+
+def scalar_weight3_syndromes_distinct(ctx, pair) -> bool:
+    """weight3_syndromes_distinct over a set of (x, f, g) syndrome tuples."""
+    f = pair.f_table
+    g = pair.g_table
+    seen = {(0, 0, 0)}
+    cols = [(x, f[x], g[x]) for x in range(1, ctx.order)]
+    for s in cols:
+        if s in seen:
+            return False
+        seen.add(s)
+    for (x1, f1, g1), (x2, f2, g2) in combinations(cols, 2):
+        s = (x1 ^ x2, f1 ^ f2, g1 ^ g2)
+        if s in seen:
+            return False
+        seen.add(s)
+    for (x1, f1, g1), (x2, f2, g2), (x3, f3, g3) in combinations(cols, 3):
+        s = (x1 ^ x2 ^ x3, f1 ^ f2 ^ f3, g1 ^ g2 ^ g3)
+        if s in seen:
+            return False
+        seen.add(s)
+    return True

@@ -161,3 +161,26 @@ def test_unwritable_out_path_rejected(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["error"] == "FileNotFoundError"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "gold2", "--n", "five"], "invalid int value"),
+    (["verify", "gold2", "--n", "5", "--workers", "2"], "unrecognized arguments"),
+    (["decode-sim", "gold2", "--n", "5", "--errors", "5"], "invalid choice"),
+])
+def test_usage_errors_print_json_record(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    record = json.loads(captured.out)
+    assert record["error"] == "ArgumentError"
+    assert needle in record["message"]
+    assert captured.err.startswith("usage:")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")

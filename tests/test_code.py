@@ -1,6 +1,7 @@
 """Parity-check structure, parameters, dual weights, distance oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,15 @@ from tecc import (
 )
 from tecc.decoder import syndrome_of
 
-from helpers import FAMILIES, get_ctx, get_H, get_generator, get_pair, get_report
+from helpers import (
+    FAMILIES,
+    get_ctx,
+    get_generator,
+    get_H,
+    get_pair,
+    get_report,
+    scalar_weight3_syndromes_distinct,
+)
 
 # Weight distribution of every n=5 instance, frozen from the exhaustive
 # 2^16 codeword enumeration (the classical [31,16,7] profile).
@@ -170,3 +179,25 @@ def test_weight3_scan_detects_short_distance():
     ident = power_table(ctx, 1)
     weak = MonomialPair(5, 1, 3, ident, power_table(ctx, 3))
     assert not weight3_syndromes_distinct(ctx, weak)
+    assert not scalar_weight3_syndromes_distinct(ctx, weak)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_weight3_scan_matches_scalar_oracle(n):
+    ctx = get_ctx(n)
+    for family in FAMILIES:
+        pair = get_pair(family, n)
+        assert weight3_syndromes_distinct(ctx, pair) == scalar_weight3_syndromes_distinct(ctx, pair)
+
+
+def test_weight3_scan_detects_double_error_bch():
+    # g = f^2 is GF(2)-linear in f, so this is the d = 5 double-error BCH
+    # code: weight <= 2 syndromes are distinct and only weight 3 collides.
+    ctx = get_ctx(7)
+    bch = MonomialPair(7, 3, 6, power_table(ctx, 3), power_table(ctx, 6))
+    cols = [(x, bch.f_table[x], bch.g_table[x]) for x in range(1, ctx.order)]
+    low = {(0, 0, 0)} | set(cols)
+    low |= {(x1 ^ x2, f1 ^ f2, g1 ^ g2) for (x1, f1, g1), (x2, f2, g2) in combinations(cols, 2)}
+    assert len(low) == 1 + 127 + 127 * 126 // 2
+    assert not weight3_syndromes_distinct(ctx, bch)
+    assert not scalar_weight3_syndromes_distinct(ctx, bch)

@@ -1,10 +1,13 @@
 """Field construction, modulus selection, trace identities, field axioms."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tecc
 from tecc.field import FieldCtx, SUPPORTED_DEGREES, is_irreducible, make_ctx, poly_mod
 
 from helpers import get_ctx
@@ -131,6 +134,18 @@ def test_table_multiply_agrees_with_raw_multiply():
     assert int(ctx.mul_array(0, 5)) == 0
 
 
+def test_frobenius_array_matches_scalar_exhaustive_n5():
+    ctx = get_ctx(5)
+    xs = np.arange(ctx.order)
+    for k in range(-ctx.n, ctx.n + 1):
+        assert ctx.frobenius_array(xs, k).tolist() == [ctx.frobenius(x, k) for x in xs.tolist()]
+    shifts = np.arange(-ctx.n, ctx.n + 1)
+    table = ctx.frobenius_array(xs[:, None], shifts)
+    assert table.shape == (ctx.order, shifts.size)
+    assert table[:, 3].tolist() == ctx.frobenius_array(xs, shifts[3]).tolist()
+    assert int(ctx.frobenius_array(0, 2)) == 0
+
+
 def test_multiplicative_identity_and_alpha_products():
     ctx = get_ctx(5)
     for x in range(32):
@@ -191,3 +206,23 @@ def test_context_repr_and_ranges():
 
 def test_make_ctx_equivalent_to_constructor():
     assert make_ctx(5).modulus == FieldCtx(5).modulus
+
+
+def test_no_module_reads_private_fieldctx_attributes():
+    # FieldCtx's tables stay behind its public accessors: no module but
+    # field.py may read a private attribute or method that FieldCtx defines.
+    src = Path(tecc.__file__).parent
+    field_tree = ast.parse((src / "field.py").read_text())
+    cls = next(node for node in field_tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
+    private = {node.attr for node in ast.walk(cls)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not node.attr.startswith("__")}
+    assert {"_log_np", "_exp_np", "_trace_list", "_mul_raw"} <= private
+    offenders = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(src.glob("*.py")) if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert offenders == []

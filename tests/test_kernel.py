@@ -6,12 +6,14 @@ import pytest
 
 from tecc import (
     LinearizedMap,
+    MonomialPair,
     gold_kernel_scan,
     gold_map,
     kasami_g_form,
     kasami_kernel_scan,
     kasami_map,
     kernel_of,
+    power_table,
     transform_single,
 )
 from tecc.kernel import (
@@ -21,7 +23,13 @@ from tecc.kernel import (
     quadratic_pair_identity,
 )
 
-from helpers import get_ctx, get_pair
+from helpers import (
+    get_ctx,
+    get_pair,
+    scalar_gold_kernel_scan,
+    scalar_kasami_kernel_scan,
+    scalar_kasami_triple,
+)
 
 # s value distribution over all (b, c) in L* x L*, frozen from the
 # exhaustive scan; identical for gold2 and gold3 at these sizes.
@@ -227,3 +235,57 @@ def test_polarization_identity_vanishes_on_solution_triples():
                 if u != v and v != 0 and (u ^ v) in s0:
                     assert quadratic_pair_identity(ctx, form, u, v) == 0
                     seen += 1
+
+
+def _with_g7(family: str):
+    """The family's n = 5 f table paired with g = x^7, under the family label."""
+    ctx = get_ctx(5)
+    pair = get_pair(family, 5)
+    return ctx, MonomialPair(5, pair.d1, 7, pair.f_table, power_table(ctx, 7), family, pair.param)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("family", ["gold2", "gold3"])
+def test_gold_scan_matches_scalar_oracle(family, n):
+    ctx, pair = get_ctx(n), get_pair(family, n)
+    batched = gold_kernel_scan(ctx, pair, seed=n)
+    assert batched == scalar_gold_kernel_scan(ctx, pair, seed=n)
+    assert batched.s_counts == (GOLD_N5_S_COUNTS if n == 5 else GOLD_N7_S_COUNTS)
+
+
+@pytest.mark.parametrize("family, count", [("gold2", 867), ("gold3", 869)])
+def test_gold_scan_failures_match_scalar_oracle(family, count):
+    ctx, bad = _with_g7(family)
+    batched = gold_kernel_scan(ctx, bad)
+    assert not batched.all_consistent
+    assert len(batched.failures) == count
+    assert batched == scalar_gold_kernel_scan(ctx, bad)
+
+
+@pytest.mark.parametrize("n, samples, seed", [(5, 400, 2), (7, 1500, 3)])
+def test_kasami_scan_matches_scalar_oracle(n, samples, seed):
+    ctx, pair = get_ctx(n), get_pair("kasami5", n)
+    batched = kasami_kernel_scan(ctx, pair, samples=samples, seed=seed, exhaustive=False,
+                                 keep_reports=-1)
+    assert len(batched.reports) == samples
+    assert batched == scalar_kasami_kernel_scan(ctx, pair, samples=samples, seed=seed,
+                                                exhaustive=False)
+
+
+def test_kasami_scan_failures_match_scalar_oracle():
+    ctx, bad = _with_g7("kasami5")
+    batched = kasami_kernel_scan(ctx, bad, samples=200, seed=1, exhaustive=False,
+                                 keep_reports=-1)
+    assert not batched.substitution_ok
+    assert len(batched.failures) == 157
+    assert batched == scalar_kasami_kernel_scan(ctx, bad, samples=200, seed=1,
+                                                exhaustive=False)
+
+
+def test_kasami_exhaustive_order_and_reports_n5():
+    ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    summary = kasami_kernel_scan(ctx, pair, keep_reports=-1)
+    triples = [(r.a, r.b, r.c) for r in summary.reports]
+    assert triples == [(a, b, c) for b in range(1, 32) for c in range(1, 32) for a in range(32)]
+    for rep in summary.reports[::97]:
+        assert rep == scalar_kasami_triple(ctx, pair, 1, rep.a, rep.b, rep.c)[0]

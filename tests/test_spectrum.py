@@ -15,7 +15,15 @@ from tecc import (
     transform_single,
 )
 
-from helpers import FAMILIES, direct_spectrum, get_ctx, get_pair, get_report, unreduced_histogram
+from helpers import (
+    FAMILIES,
+    direct_spectrum,
+    get_ctx,
+    get_pair,
+    get_report,
+    loop_transform,
+    unreduced_histogram,
+)
 
 # Frozen by the naive oracle (transform_single) for gold2 k=1 over GF(2^5).
 GOLD2_N5_F_011 = -8
@@ -68,6 +76,22 @@ def test_direct_matrix_matches_scalar_oracle():
         direct = direct_spectrum(ctx, pair, b, c)
         for a in range(0, 32, 5):
             assert int(direct[a]) == transform_single(ctx, pair, a, b, c)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_transform_single_broadcasts_like_the_loop(n):
+    ctx = get_ctx(n)
+    pair = get_pair("gold3", n)
+    rng = random.Random(n)
+    triples = [(rng.randrange(ctx.order), rng.randrange(ctx.order), rng.randrange(ctx.order))
+               for _ in range(40)] + [(0, 0, 0), (5, 0, 0), (0, 3, 0), (0, 0, 9)]
+    expected = [loop_transform(ctx, pair, *t) for t in triples]
+    assert [transform_single(ctx, pair, *t) for t in triples] == expected
+    assert all(type(transform_single(ctx, pair, *t)) is int for t in triples[:3])
+    a, b, c = np.array(triples).T
+    assert transform_single(ctx, pair, a, b, c).tolist() == expected
+    row = transform_single(ctx, pair, np.arange(ctx.order), b[0], c[0])
+    assert row.tolist() == direct_spectrum(ctx, pair, int(b[0]), int(c[0])).tolist()
 
 
 def test_spectrum_for_bc_zero_coefficients():
