@@ -56,8 +56,14 @@ def column_syndrome(pair: MonomialPair, x: int) -> Syndrome:
 def build_pair_index(ctx: FieldCtx, pair: MonomialPair) -> dict[Syndrome, tuple[int, int]]:
     """Syndrome -> unordered position pair, over all C(2^n - 1, 2) pairs.
 
-    Any collision falsifies distance >= 5 and is a hard error.
+    Any collision falsifies distance >= 5 and is a hard error.  Refused
+    above n = 11: at n = 13 the dict would hold 33.5M entries, about 9 GB.
     """
+    if ctx.n > 11:
+        raise ValueError(
+            f"the syndrome pair index is limited to n <= 11; n={ctx.n} needs "
+            f"C({ctx.group_order}, 2) entries (ROADMAP item 3: O(2^n) power-map decoder)"
+        )
     f = pair.f_table
     g = pair.g_table
     index: dict[Syndrome, tuple[int, int]] = {}

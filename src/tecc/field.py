@@ -93,8 +93,13 @@ class FieldCtx:
             raise AssertionError("generator order mismatch")
         self._exp = exp
         self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
+        # The array log maps 0 to the sentinel 2N, N = 2^n - 1, and the array
+        # exp is zero from index 2N on (length 4N + 1), so a product with a
+        # zero factor gathers 0 without a mask.
+        self._exp_np = np.zeros(4 * self.group_order + 1, dtype=np.int64)
+        self._exp_np[: 2 * self.group_order] = exp
         self._log_np = np.array(log, dtype=np.int64)
+        self._log_np[0] = 2 * self.group_order
 
         # Tr is GF(2)-linear, so the basis traces determine the full table.
         mask = 0
@@ -159,10 +164,7 @@ class FieldCtx:
 
     def mul_array(self, x, y) -> np.ndarray:
         """Elementwise x * y over broadcasting int arrays (or scalars)."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        out = self._exp_np[self._log_np[x] + self._log_np[y]]
-        return np.where((x == 0) | (y == 0), 0, out)
+        return self._exp_np[self._log_np[x] + self._log_np[y]]
 
     def sqr(self, x: int) -> int:
         if x == 0:
@@ -181,6 +183,21 @@ class FieldCtx:
         if x == 0:
             return 1 if e == 0 else 0
         return self._exp[self._log[x] * (e % self.group_order) % self.group_order]
+
+    def pow_array(self, x, e) -> np.ndarray:
+        """Elementwise x^e over broadcasting int arrays (or scalars), e >= 0."""
+        x = np.asarray(x, dtype=np.int64)
+        e = np.asarray(e, dtype=np.int64)
+        if (e < 0).any():
+            raise ValueError("exponent must be non-negative")
+        out = self._exp_np[self._log_np[x] * (e % self.group_order) % self.group_order]
+        return np.where(x == 0, (e == 0).astype(np.int64), out)
+
+    def log(self, x: int) -> int:
+        """The discrete log of x != 0 to the base self.generator, in [0, 2^n - 1)."""
+        if x == 0:
+            raise ValueError("0 has no discrete logarithm")
+        return self._log[x]
 
     def frobenius(self, x: int, k: int) -> int:
         """x^(2^(k mod n)); negative k applies the inverse automorphism."""

@@ -146,16 +146,31 @@ def differential_spectrum(ctx: FieldCtx, table: list[int], q: int) -> dict[int, 
     return {int(c): int(f) for c, f in enumerate(freq) if f > 0}
 
 
+def power_exponent(ctx: FieldCtx, table) -> int | None:
+    """The d in [1, 2^n - 1] with table[x] = x^d for every x, else None.
+
+    O(2^n): a power map is fixed by its value at the generator.
+    """
+    t = np.asarray(table, dtype=np.int64)
+    if t.shape != (ctx.order,) or not 0 < t[ctx.generator] < ctx.order:
+        return None
+    d = ctx.log(int(t[ctx.generator])) or ctx.group_order
+    return d if (ctx.pow_array(np.arange(ctx.order), d) == t).all() else None
+
+
 def is_apn(ctx: FieldCtx, table: list[int]) -> bool:
     """True iff every nontrivial derivative takes each value at most twice.
 
-    Exhaustive O(2^(2n)) count over all (q, p).
+    For a power map x^d, D_q f(x) = q^d * D_1 f(x/q), so the derivative at
+    q = 1 alone decides, in O(2^n).  Any other table takes the exhaustive
+    O(2^(2n)) count over all (q, p).
     """
     if table[0] != 0:
         raise ValueError("table must map 0 to 0")
     t = np.asarray(table, dtype=np.int64)
     idx = np.arange(ctx.order)
-    for q in range(1, ctx.order):
+    qs = [1] if power_exponent(ctx, t) is not None else range(1, ctx.order)
+    for q in qs:
         deriv = t[idx ^ q] ^ t
         if int(np.bincount(deriv, minlength=ctx.order).max()) > 2:
             return False

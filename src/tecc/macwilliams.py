@@ -54,8 +54,17 @@ def krawtchouk_direct(k: int, v: int, N: int) -> int:
 
 
 def macwilliams_transform(dual_dist: WeightDistribution, dual_dim: int) -> WeightDistribution:
-    """Weight distribution of the code whose dual has the given distribution."""
+    """Weight distribution of the code whose dual has the given distribution.
+
+    Refused from N = 2^17 - 1 on: the cached Krawtchouk columns of 2^17 big
+    integers each would take several GB.
+    """
     N = dual_dist.length
+    if N >= (1 << 17) - 1:
+        raise ValueError(
+            f"the cached MacWilliams transform is limited to length < {(1 << 17) - 1}; "
+            f"got {N} (ROADMAP item 2: streaming exact MacWilliams)"
+        )
     if dual_dist.total() != 1 << dual_dim:
         raise ValueError(f"distribution mass {dual_dist.total()} != 2^{dual_dim}")
     table = KrawtchoukTable(N)

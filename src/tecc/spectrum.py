@@ -23,6 +23,10 @@ import numpy as np
 from .field import FieldCtx
 from .functions import MonomialPair
 
+# Bound on the rows x 2^n cells of one transform_rows batch in the scans:
+# 256 rows at n = 13, 64 at n = 15.
+_BATCH_CELLS = 1 << 21
+
 
 def allowed_values(n: int) -> set[int]:
     """The five-value set {0, +-2^((n+1)/2), +-2^((n+3)/2)} for odd n."""
@@ -117,16 +121,56 @@ def _as_histogram(order: int, counts: np.ndarray) -> dict[int, int]:
     return {int(2 * i - order): int(cnt) for i, cnt in enumerate(counts) if cnt}
 
 
+def _batches(n: int, cs: np.ndarray):
+    """cs in order, in slices of at most _BATCH_CELLS >> n rows."""
+    step = max(1, _BATCH_CELLS >> n)
+    for lo in range(0, cs.size, step):
+        yield slice(lo, lo + step)
+
+
+def cyclotomic_cosets(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclotomic cosets {c, c^2, c^4, ...} of L*: each coset's smallest
+    element, ascending, and the coset's size."""
+    cs = np.arange(1, ctx.order)
+    low = cs
+    cur = cs
+    for _ in range(ctx.n - 1):
+        cur = ctx.frobenius_array(cur, 1)
+        low = np.minimum(low, cur)
+    sizes = np.bincount(low, minlength=ctx.order)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
+
+
+def _folded_counts(ctx: FieldCtx, f_np, g_np, b: int, cs: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Value counts of the rows (b, c), c in cs, row i counted weights[i]
+    times.  Every row's sum and Parseval are checked."""
+    order = ctx.order
+    counts = np.zeros(order + 1, dtype=np.int64)
+    for part in _batches(ctx.n, cs):
+        rows = transform_rows(ctx, f_np, g_np, b, cs[part])
+        if not (rows.sum(axis=1, dtype=np.int64) == order).all():
+            raise ArithmeticError(f"transform row sum != 2^n at b={b}")
+        if not ((rows.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
+            raise ArithmeticError(f"Parseval violated at b={b}")
+        w = weights[part]
+        for size in np.unique(w).tolist():
+            counts += size * _value_counts(order, rows[w == size])
+    return counts
+
+
 def _find_witness(ctx: FieldCtx, pair: MonomialPair) -> tuple[int, int, int]:
     """The first offending (a, b, c) in (b, c, a) order, by the naive oracle."""
     ok = allowed_values(ctx.n)
     cs = np.arange(1, ctx.order)
     for b in range(1, ctx.order):
-        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
-        for c in cs[~np.isin(rows, list(ok)).all(axis=1)].tolist():
-            for a in range(ctx.order):
-                if transform_single(ctx, pair, a, b, c) not in ok:
-                    return (a, b, c)
+        for part in _batches(ctx.n, cs):
+            rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs[part])
+            for c in cs[part][~np.isin(rows, list(ok)).all(axis=1)].tolist():
+                for a in range(ctx.order):
+                    if transform_single(ctx, pair, a, b, c) not in ok:
+                        return (a, b, c)
     raise AssertionError("offending row vanished on rescan")  # pragma: no cover
 
 
@@ -136,21 +180,19 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     The substitution x -> lambda*x gives F(a, b, c) = F(lambda*a,
     lambda^d1*b, lambda^d2*c), so every b row has the histogram of a row
     b = g^i, i < e = gcd(d1, 2^n - 1), and each of those stands for
-    (2^n - 1)/e values of b.  Row sums and Parseval are checked on every
-    row computed.
+    (2^n - 1)/e values of b.  Squaring gives F(a, b, c) = F(a^2, b^2, c^2);
+    b = 1 is fixed by it, so on that row one c per cyclotomic coset stands
+    for the whole coset.  The rows b = g^i, i >= 1 (only when e > 1) keep
+    every c.  Row sums and Parseval are checked on every row computed.
     """
     order = ctx.order
     e = gcd(pair.d1, ctx.group_order)
+    reps, sizes = cyclotomic_cosets(ctx)
+    counts = _folded_counts(ctx, pair.f_np, pair.g_np, 1, reps, sizes)
     cs = np.arange(1, order)
-    counts = np.zeros(order + 1, dtype=np.int64)
-    for i in range(e):
+    for i in range(1, e):
         b = ctx.pow(ctx.generator, i)
-        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
-        if not (rows.sum(axis=1, dtype=np.int64) == order).all():
-            raise ArithmeticError(f"transform row sum != 2^n at b={b}")
-        if not ((rows.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
-            raise ArithmeticError(f"Parseval violated at b={b}")
-        counts += _value_counts(order, rows)
+        counts += _folded_counts(ctx, pair.f_np, pair.g_np, b, cs, np.ones_like(cs))
     histogram = _as_histogram(order, counts * (ctx.group_order // e))
     if sum(histogram.values()) != order * ctx.group_order**2:  # pragma: no cover
         raise ArithmeticError("histogram mass mismatch")
@@ -167,11 +209,22 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     )
 
 
-def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]:
-    """Histogram of sum_x (-1)^Tr(a*x + b*h(x)) over all a and all b != 0.
+def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray, d: int | None = None) -> dict[int, int]:
+    """Histogram of sum_x (-1)^Tr(a*x + c*h(x)) over all a and all c != 0.
 
     Used for the dual-code strata where exactly one of the pair's functions
-    has a zero coefficient.
+    has a zero coefficient.  When h is the power map x^d, x -> lambda*x gives
+    F(a, 0, c) = F(lambda*a, 0, lambda^d*c), so the rows c = g^i, i < e =
+    gcd(d, 2^n - 1), each stand for (2^n - 1)/e rows; without d every row is
+    computed.  Row sums and Parseval are checked on every row computed.
     """
-    rows = transform_rows(ctx, table_np, table_np, 0, np.arange(1, ctx.order))
-    return _as_histogram(ctx.order, _value_counts(ctx.order, rows))
+    if d is None:
+        e = ctx.group_order
+        cs = np.arange(1, ctx.order)
+    else:
+        if not (ctx.pow_array(np.arange(ctx.order), d) == table_np).all():
+            raise ValueError(f"table is not the power map x^{d}")
+        e = gcd(d, ctx.group_order)
+        cs = ctx.pow_array(ctx.generator, np.arange(e))
+    counts = _folded_counts(ctx, table_np, table_np, 0, cs, np.ones_like(cs))
+    return _as_histogram(ctx.order, counts * (ctx.group_order // e))

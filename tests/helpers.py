@@ -4,6 +4,7 @@ and the scalar oracles that the batched library paths are checked against."""
 import random
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from tecc import (
     make_ctx,
     systematic_generator,
 )
+from tecc.functions import differential_counts
 from tecc.kernel import (
     GoldKernelSummary,
     KasamiKernelSummary,
@@ -109,9 +111,20 @@ def loop_transform(ctx, pair, a: int, b: int, c: int) -> int:
                for x in range(ctx.order))
 
 
+_UNREDUCED: dict[tuple[int, int, int], dict[int, int]] = {}
+
+
 def unreduced_histogram(ctx, pair) -> dict[int, int]:
     """The (a, b, c) value histogram over b, c in L*, one row batch per b,
-    with no orbit reduction."""
+    with no orbit reduction.  Memoized per (n, d1, d2): a scan at n = 9
+    takes seconds."""
+    key = (ctx.n, pair.d1, pair.d2)
+    if key not in _UNREDUCED:
+        _UNREDUCED[key] = _unreduced_histogram(ctx, pair)
+    return dict(_UNREDUCED[key])
+
+
+def _unreduced_histogram(ctx, pair) -> dict[int, int]:
     order = ctx.order
     cs = np.arange(1, order)
     counts = np.zeros(2 * order + 1, dtype=np.int64)
@@ -119,6 +132,25 @@ def unreduced_histogram(ctx, pair) -> dict[int, int]:
         rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
         counts += np.bincount(rows.ravel().astype(np.int64) + order, minlength=2 * order + 1)
     return {v - order: int(cnt) for v, cnt in enumerate(counts) if cnt}
+
+
+def reduced_histogram(ctx, pair) -> dict[int, int]:
+    """The (a, b, c) value histogram over b, c in L* from the rows b = g^i,
+    i < e = gcd(d1, 2^n - 1), each with every c, scaled by (2^n - 1)/e: the
+    x -> lambda*x reduction without the squaring fold."""
+    order = ctx.order
+    e = gcd(pair.d1, ctx.group_order)
+    cs = np.arange(1, order)
+    counts = np.zeros(2 * order + 1, dtype=np.int64)
+    for i in range(e):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, ctx.pow(ctx.generator, i), cs)
+        counts += np.bincount(rows.ravel().astype(np.int64) + order, minlength=2 * order + 1)
+    return {v - order: int(cnt) * (ctx.group_order // e) for v, cnt in enumerate(counts) if cnt}
+
+
+def exhaustive_is_apn(ctx, table) -> bool:
+    """is_apn from the differential counts of every q != 0."""
+    return all(int(differential_counts(ctx, table, q).max()) <= 2 for q in ctx.nonzero())
 
 
 def scalar_gold_kernel_scan(ctx, pair, oracle_samples: int = 64, seed: int = 0):

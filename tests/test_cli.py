@@ -154,6 +154,14 @@ def test_distance_beyond_oracle_limit_rejected(capsys):
     assert "n <= 7" in json.loads(out)["message"]
 
 
+def test_decode_sim_above_n11_rejected(capsys):
+    code, out = run_cli(capsys, "decode-sim", "gold2", "--n", "13", "--trials", "1")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ValueError"
+    assert "n <= 11" in record["message"]
+
+
 def test_unwritable_out_path_rejected(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out = run_cli(capsys, "spectrum", "gold2", "--n", "5", "--format", "json",

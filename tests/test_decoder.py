@@ -70,6 +70,11 @@ def test_collision_detected_on_degenerate_tables():
         build_pair_index(ctx, MonomialPair(5, 1, 2, zero, zero))
 
 
+def test_pair_index_refused_above_n11():
+    with pytest.raises(ValueError, match="ROADMAP item 3"):
+        build_pair_index(get_ctx(13), get_pair("gold2", 13))
+
+
 def test_decode_clean_word():
     ctx = get_ctx(5)
     pair = get_pair("gold2", 5)

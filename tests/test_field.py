@@ -146,6 +146,21 @@ def test_frobenius_array_matches_scalar_exhaustive_n5():
     assert int(ctx.frobenius_array(0, 2)) == 0
 
 
+def test_pow_array_and_log_match_scalar_exhaustive_n5():
+    ctx = get_ctx(5)
+    xs = np.arange(ctx.order)
+    es = np.arange(2 * ctx.order)
+    table = ctx.pow_array(xs[:, None], es)
+    assert table.tolist() == [[ctx.pow(x, e) for e in es.tolist()] for x in xs.tolist()]
+    assert int(ctx.pow_array(0, 0)) == 1 and int(ctx.pow_array(0, 3)) == 0
+    with pytest.raises(ValueError):
+        ctx.pow_array(xs, -1)
+    for i in range(ctx.group_order):
+        assert ctx.log(ctx.pow(ctx.generator, i)) == i
+    with pytest.raises(ValueError):
+        ctx.log(0)
+
+
 def test_multiplicative_identity_and_alpha_products():
     ctx = get_ctx(5)
     for x in range(32):

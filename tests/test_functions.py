@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from tecc import (
@@ -15,8 +16,9 @@ from tecc import (
     monomial_pair,
     power_table,
 )
+from tecc.functions import differential_counts, power_exponent
 
-from helpers import get_ctx, get_pair
+from helpers import exhaustive_is_apn, get_ctx, get_pair
 
 
 def test_classic_pair_gold2():
@@ -123,6 +125,49 @@ def test_family_f_tables_all_apn():
         ctx = get_ctx(7)
         pair = get_pair(family, 7)
         assert is_apn(ctx, pair.f_table), family
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_is_apn_fast_path_matches_exhaustive_for_every_exponent(n):
+    ctx = get_ctx(n)
+    verdicts = set()
+    for d in range(1, ctx.group_order):
+        table = power_table(ctx, d)
+        assert power_exponent(ctx, table) == d
+        verdicts.add(is_apn(ctx, table))
+        assert is_apn(ctx, table) == exhaustive_is_apn(ctx, table), d
+    assert verdicts == {True, False}
+
+
+def test_non_power_tables_take_the_exhaustive_path():
+    ctx = get_ctx(5)
+    cube = power_table(ctx, 3)
+    # x^3 + x is APN (an affine shift keeps every derivative's counts) but no power map
+    shifted = [y ^ x for x, y in enumerate(cube)]
+    assert power_exponent(ctx, shifted) is None
+    assert is_apn(ctx, shifted) and exhaustive_is_apn(ctx, shifted)
+    # xor delta onto both points of the pair {2, 3}: D_1 is unchanged, so q = 1
+    # alone would still say APN; some delta breaks another derivative
+    broken = None
+    for delta in range(1, ctx.order):
+        table = list(cube)
+        table[2] ^= delta
+        table[3] ^= delta
+        if not exhaustive_is_apn(ctx, table):
+            broken = table
+            break
+    assert broken is not None
+    assert power_exponent(ctx, broken) is None
+    assert int(differential_counts(ctx, broken, 1).max()) <= 2
+    assert not is_apn(ctx, broken)
+
+
+def test_power_exponent_rejects_non_power_tables():
+    ctx = get_ctx(5)
+    assert power_exponent(ctx, [0] * ctx.order) is None
+    assert power_exponent(ctx, power_table(ctx, 3)[:-1]) is None
+    assert power_exponent(ctx, np.arange(ctx.order) * 0 + ctx.order) is None
+    assert power_exponent(ctx, [0] + [1] * ctx.group_order) == ctx.group_order
 
 
 def test_differential_spectrum_x3():

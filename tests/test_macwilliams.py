@@ -94,6 +94,13 @@ def test_non_integral_result_detected():
         macwilliams_transform(fractional, 2)
 
 
+def test_length_from_2_17_minus_1_refused():
+    N = (1 << 17) - 1
+    dual = WeightDistribution(N, [1] + [0] * N)
+    with pytest.raises(ValueError, match="ROADMAP item 2"):
+        macwilliams_transform(dual, 0)
+
+
 def test_weight_distribution_helpers():
     dist = get_code_dist("gold2", 5)
     assert dist.min_nonzero_weight() == 7

@@ -6,8 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from tecc import spectrum
+from tecc.spectrum import cyclotomic_cosets
+
 from tecc import (
     allowed_values,
+    power_table,
     full_spectrum,
     monomial_pair,
     single_table_spectrum,
@@ -22,6 +26,7 @@ from helpers import (
     get_pair,
     get_report,
     loop_transform,
+    reduced_histogram,
     unreduced_histogram,
 )
 
@@ -194,6 +199,79 @@ def test_single_table_spectrum_matches_rows(family, n):
     g_rows = Counter(int(v) for c in ctx.nonzero() for v in spectrum_for_bc(ctx, pair, 0, c))
     assert single_table_spectrum(ctx, pair.f_np) == f_rows
     assert single_table_spectrum(ctx, pair.g_np) == g_rows
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
+    ctx = get_ctx(n)
+    reps, sizes = cyclotomic_cosets(ctx)
+    orbits = set()
+    for c in ctx.nonzero():
+        orbit, x = set(), c
+        while x not in orbit:
+            orbit.add(x)
+            x = ctx.sqr(x)
+        orbits.add(frozenset(orbit))
+    assert sorted(reps.tolist()) == reps.tolist()
+    assert sorted((min(o), len(o)) for o in orbits) == list(zip(reps.tolist(), sizes.tolist()))
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7, 9) for f in FAMILIES])
+def test_folded_scan_matches_reduced_and_unreduced_oracles(family, n):
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    histogram = get_report(family, n).histogram
+    assert histogram == reduced_histogram(ctx, pair)
+    assert histogram == unreduced_histogram(ctx, pair)
+
+
+def test_folded_scan_with_several_b_orbits_matches_both_oracles():
+    # e = 7: the fold covers the row b = 1, the rows b = g^1 .. g^6 keep every c
+    ctx = get_ctx(9)
+    pair = monomial_pair(ctx, 7, 3)
+    histogram = full_spectrum(ctx, pair).histogram
+    assert histogram == reduced_histogram(ctx, pair)
+    assert histogram == unreduced_histogram(ctx, pair)
+
+
+@pytest.mark.parametrize("n,d1,d2", [(5, 3, 7), (9, 7, 3), (7, 5, 11)])
+def test_batched_scan_equals_one_batch(monkeypatch, n, d1, d2):
+    # at n <= 9 one batch holds every row; shrink it to force several
+    ctx = get_ctx(n)
+    pair = monomial_pair(ctx, d1, d2)
+    whole = full_spectrum(ctx, pair)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << (n + 2))
+    batched = full_spectrum(ctx, pair)
+    assert (batched.histogram, batched.witness) == (whole.histogram, whole.witness)
+    for d in (d1, d2):
+        table = np.array(power_table(ctx, d))
+        assert single_table_spectrum(ctx, table, d) == single_table_spectrum(ctx, table)
+
+
+@pytest.mark.parametrize("d,e", [(3, 1), (7, 7), (73, 73)])
+def test_single_table_spectrum_folds_by_exponent(d, e):
+    ctx = get_ctx(9)
+    assert np.gcd(d, ctx.group_order) == e
+    pair = monomial_pair(ctx, d, 5)
+    f_rows = Counter(int(v) for b in ctx.nonzero() for v in spectrum_for_bc(ctx, pair, b, 0))
+    assert single_table_spectrum(ctx, pair.f_np, d) == f_rows
+    assert single_table_spectrum(ctx, pair.f_np) == f_rows
+
+
+def test_single_table_spectrum_rejects_a_wrong_exponent():
+    ctx = get_ctx(7)
+    pair = get_pair("gold2", 7)
+    with pytest.raises(ValueError, match="not the power map"):
+        single_table_spectrum(ctx, pair.f_np, pair.d2)
+
+
+def test_single_table_spectrum_checks_row_sums():
+    # h(0) != 0 turns the row sum into -2^n on every row with Tr(c*h(0)) = 1
+    ctx = get_ctx(5)
+    table = get_pair("gold2", 5).f_np.copy()
+    table[0] = 1
+    with pytest.raises(ArithmeticError, match="row sum"):
+        single_table_spectrum(ctx, table)
 
 
 def test_report_json_shape():
