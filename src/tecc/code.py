@@ -122,8 +122,8 @@ def dual_weights_from_spectrum(
     coeffs[0] += 1                      # a = b = c = 0
     coeffs[order // 2] += order - 1     # a != 0, b = c = 0: Tr(ax) is balanced
     for hist in (
-        single_table_spectrum(ctx, pair.f_np, pair.d1),   # c = 0 stratum
-        single_table_spectrum(ctx, pair.g_np, pair.d2),   # b = 0 stratum
+        single_table_spectrum(ctx, pair.f_np),   # c = 0 stratum
+        single_table_spectrum(ctx, pair.g_np),   # b = 0 stratum
     ):
         for v, cnt in hist.items():
             coeffs[(order - v) // 2] += cnt

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .field import FieldCtx
-from .functions import MonomialPair
+from .functions import MonomialPair, power_exponent
 
 # Bound on the rows x 2^n cells of one transform_rows batch in the scans:
 # 256 rows at n = 13, 64 at n = 15.
@@ -209,22 +209,18 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     )
 
 
-def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray, d: int | None = None) -> dict[int, int]:
+def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]:
     """Histogram of sum_x (-1)^Tr(a*x + c*h(x)) over all a and all c != 0.
 
     Used for the dual-code strata where exactly one of the pair's functions
-    has a zero coefficient.  When h is the power map x^d, x -> lambda*x gives
+    has a zero coefficient.  When h is a power map x^d, x -> lambda*x gives
     F(a, 0, c) = F(lambda*a, 0, lambda^d*c), so the rows c = g^i, i < e =
-    gcd(d, 2^n - 1), each stand for (2^n - 1)/e rows; without d every row is
-    computed.  Row sums and Parseval are checked on every row computed.
+    gcd(d, 2^n - 1), each stand for (2^n - 1)/e rows; any other table takes
+    e = 2^n - 1, every row.  Row sums and Parseval are checked on every row
+    computed.
     """
-    if d is None:
-        e = ctx.group_order
-        cs = np.arange(1, ctx.order)
-    else:
-        if not (ctx.pow_array(np.arange(ctx.order), d) == table_np).all():
-            raise ValueError(f"table is not the power map x^{d}")
-        e = gcd(d, ctx.group_order)
-        cs = ctx.pow_array(ctx.generator, np.arange(e))
+    d = power_exponent(ctx, table_np)
+    e = gcd(d, ctx.group_order) if d else ctx.group_order
+    cs = ctx.pow_array(ctx.generator, np.arange(e))
     counts = _folded_counts(ctx, table_np, table_np, 0, cs, np.ones_like(cs))
     return _as_histogram(ctx.order, counts * (ctx.group_order // e))

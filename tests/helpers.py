@@ -111,20 +111,9 @@ def loop_transform(ctx, pair, a: int, b: int, c: int) -> int:
                for x in range(ctx.order))
 
 
-_UNREDUCED: dict[tuple[int, int, int], dict[int, int]] = {}
-
-
 def unreduced_histogram(ctx, pair) -> dict[int, int]:
     """The (a, b, c) value histogram over b, c in L*, one row batch per b,
-    with no orbit reduction.  Memoized per (n, d1, d2): a scan at n = 9
-    takes seconds."""
-    key = (ctx.n, pair.d1, pair.d2)
-    if key not in _UNREDUCED:
-        _UNREDUCED[key] = _unreduced_histogram(ctx, pair)
-    return dict(_UNREDUCED[key])
-
-
-def _unreduced_histogram(ctx, pair) -> dict[int, int]:
+    with no orbit reduction."""
     order = ctx.order
     cs = np.arange(1, order)
     counts = np.zeros(2 * order + 1, dtype=np.int64)

@@ -11,7 +11,6 @@ from tecc.spectrum import cyclotomic_cosets
 
 from tecc import (
     allowed_values,
-    power_table,
     full_spectrum,
     monomial_pair,
     single_table_spectrum,
@@ -175,10 +174,14 @@ def test_non_five_valued_pair_yields_checkable_witness():
     assert transform_single(ctx, pair, a, b, c) not in allowed_values(5)
 
 
-@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7) for f in FAMILIES] + [("kasami5", 9)])
+@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7, 9) for f in FAMILIES])
 def test_reduced_scan_matches_unreduced_oracle(family, n):
     # every family has e = gcd(d1, 2^n - 1) = 1: one b row stands for all
-    assert get_report(family, n).histogram == unreduced_histogram(get_ctx(n), get_pair(family, n))
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    histogram = get_report(family, n).histogram
+    assert histogram == reduced_histogram(ctx, pair)
+    assert histogram == unreduced_histogram(ctx, pair)
 
 
 def test_reduced_scan_with_several_b_orbits():
@@ -186,6 +189,7 @@ def test_reduced_scan_with_several_b_orbits():
     ctx = get_ctx(9)
     pair = monomial_pair(ctx, 7, 3)
     report = full_spectrum(ctx, pair)
+    assert report.histogram == reduced_histogram(ctx, pair)
     assert report.histogram == unreduced_histogram(ctx, pair)
     a, b, c = report.witness
     assert transform_single(ctx, pair, a, b, c) not in allowed_values(9)
@@ -216,36 +220,18 @@ def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
     assert sorted((min(o), len(o)) for o in orbits) == list(zip(reps.tolist(), sizes.tolist()))
 
 
-@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7, 9) for f in FAMILIES])
-def test_folded_scan_matches_reduced_and_unreduced_oracles(family, n):
-    ctx = get_ctx(n)
-    pair = get_pair(family, n)
-    histogram = get_report(family, n).histogram
-    assert histogram == reduced_histogram(ctx, pair)
-    assert histogram == unreduced_histogram(ctx, pair)
-
-
-def test_folded_scan_with_several_b_orbits_matches_both_oracles():
-    # e = 7: the fold covers the row b = 1, the rows b = g^1 .. g^6 keep every c
-    ctx = get_ctx(9)
-    pair = monomial_pair(ctx, 7, 3)
-    histogram = full_spectrum(ctx, pair).histogram
-    assert histogram == reduced_histogram(ctx, pair)
-    assert histogram == unreduced_histogram(ctx, pair)
-
-
 @pytest.mark.parametrize("n,d1,d2", [(5, 3, 7), (9, 7, 3), (7, 5, 11)])
 def test_batched_scan_equals_one_batch(monkeypatch, n, d1, d2):
     # at n <= 9 one batch holds every row; shrink it to force several
     ctx = get_ctx(n)
     pair = monomial_pair(ctx, d1, d2)
+    tables = (pair.f_np, pair.g_np)
     whole = full_spectrum(ctx, pair)
+    whole_strata = [single_table_spectrum(ctx, t) for t in tables]
     monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << (n + 2))
     batched = full_spectrum(ctx, pair)
     assert (batched.histogram, batched.witness) == (whole.histogram, whole.witness)
-    for d in (d1, d2):
-        table = np.array(power_table(ctx, d))
-        assert single_table_spectrum(ctx, table, d) == single_table_spectrum(ctx, table)
+    assert [single_table_spectrum(ctx, t) for t in tables] == whole_strata
 
 
 @pytest.mark.parametrize("d,e", [(3, 1), (7, 7), (73, 73)])
@@ -254,15 +240,7 @@ def test_single_table_spectrum_folds_by_exponent(d, e):
     assert np.gcd(d, ctx.group_order) == e
     pair = monomial_pair(ctx, d, 5)
     f_rows = Counter(int(v) for b in ctx.nonzero() for v in spectrum_for_bc(ctx, pair, b, 0))
-    assert single_table_spectrum(ctx, pair.f_np, d) == f_rows
     assert single_table_spectrum(ctx, pair.f_np) == f_rows
-
-
-def test_single_table_spectrum_rejects_a_wrong_exponent():
-    ctx = get_ctx(7)
-    pair = get_pair("gold2", 7)
-    with pytest.raises(ValueError, match="not the power map"):
-        single_table_spectrum(ctx, pair.f_np, pair.d2)
 
 
 def test_single_table_spectrum_checks_row_sums():
