@@ -65,6 +65,7 @@ from .macwilliams import (
 from .decoder import (
     CollisionDetected,
     DecodeResult,
+    PairIndex,
     Syndrome,
     build_pair_index,
     column_syndrome,

@@ -28,7 +28,7 @@ from .decoder import build_pair_index, decode
 from .field import make_ctx
 from .functions import FAMILY_NAMES, ConditionViolated, DegeneratePair, FamilySpec, instantiate, is_apn
 from .kernel import gold_kernel_scan, kasami_kernel_scan
-from .macwilliams import NonIntegralResult, macwilliams_transform, verify_distance7
+from .macwilliams import NonIntegralResult, check_length, macwilliams_transform, verify_distance7
 from .spectrum import full_spectrum
 
 
@@ -84,6 +84,7 @@ def cmd_verify(config: RunConfig) -> int:
     stages: list[tuple[str, bool, str]] = []
 
     pair = instantiate(_spec(config), ctx)
+    check_length(ctx.group_order)  # refuse before the scan, not after it
     stages.append(("instantiate", True, f"exponents ({pair.d1}, {pair.d2})"))
 
     apn = is_apn(ctx, pair.f_table)
@@ -205,6 +206,7 @@ def cmd_distance(config: RunConfig) -> int:
 def cmd_macwilliams(config: RunConfig) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
+    check_length(ctx.group_order)
     report = full_spectrum(ctx, pair)
     dual = dual_weights_from_spectrum(ctx, pair, report)
     dist = macwilliams_transform(dual, 3 * config.n)

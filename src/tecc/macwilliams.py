@@ -12,6 +12,11 @@ from math import comb
 from .code import WeightDistribution
 
 
+# The cached Krawtchouk columns hold N + 1 big integers each, several GB from
+# this length on, so lengths N >= LENGTH_LIMIT are refused.
+LENGTH_LIMIT = (1 << 17) - 1
+
+
 class NonIntegralResult(ArithmeticError):
     """The transform produced a non-integer or negative coefficient."""
 
@@ -53,18 +58,22 @@ def krawtchouk_direct(k: int, v: int, N: int) -> int:
     return sum((-1) ** j * comb(v, j) * comb(N - v, k - j) for j in range(k + 1))
 
 
+def check_length(N: int) -> None:
+    """Raise ValueError when the transform refuses codes of length N."""
+    if N >= LENGTH_LIMIT:
+        raise ValueError(
+            f"the cached MacWilliams transform is limited to length < {LENGTH_LIMIT}; "
+            f"got {N} (ROADMAP item 2: streaming exact MacWilliams)"
+        )
+
+
 def macwilliams_transform(dual_dist: WeightDistribution, dual_dim: int) -> WeightDistribution:
     """Weight distribution of the code whose dual has the given distribution.
 
-    Refused from N = 2^17 - 1 on: the cached Krawtchouk columns of 2^17 big
-    integers each would take several GB.
+    Refused from N = LENGTH_LIMIT on (`check_length`).
     """
     N = dual_dist.length
-    if N >= (1 << 17) - 1:
-        raise ValueError(
-            f"the cached MacWilliams transform is limited to length < {(1 << 17) - 1}; "
-            f"got {N} (ROADMAP item 2: streaming exact MacWilliams)"
-        )
+    check_length(N)
     if dual_dist.total() != 1 << dual_dim:
         raise ValueError(f"distribution mass {dual_dist.total()} != 2^{dual_dim}")
     table = KrawtchoukTable(N)

@@ -9,7 +9,9 @@ from math import gcd
 import numpy as np
 
 from tecc import (
+    DecodeResult,
     FamilySpec,
+    Syndrome,
     build_pair_index,
     build_parity_check,
     codeword_weight_distribution,
@@ -18,8 +20,10 @@ from tecc import (
     instantiate,
     macwilliams_transform,
     make_ctx,
+    syndrome_of,
     systematic_generator,
 )
+from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
 from tecc.kernel import (
     GoldKernelSummary,
@@ -73,6 +77,11 @@ def get_generator(family: str, n: int):
 @lru_cache(maxsize=None)
 def get_pair_index(family: str, n: int):
     return build_pair_index(get_ctx(n), get_pair(family, n))
+
+
+@lru_cache(maxsize=None)
+def get_dict_pair_index(family: str, n: int):
+    return dict_pair_index(get_ctx(n), get_pair(family, n))
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +144,48 @@ def reduced_histogram(ctx, pair) -> dict[int, int]:
         rows = transform_rows(ctx, pair.f_np, pair.g_np, ctx.pow(ctx.generator, i), cs)
         counts += np.bincount(rows.ravel().astype(np.int64) + order, minlength=2 * order + 1)
     return {v - order: int(cnt) * (ctx.group_order // e) for v, cnt in enumerate(counts) if cnt}
+
+
+def dict_pair_index(ctx, pair) -> dict:
+    """Syndrome -> unordered position pair (x, y), x < y, as a dict over all
+    C(2^n - 1, 2) pairs; any collision raises CollisionDetected."""
+    f = pair.f_table
+    g = pair.g_table
+    index = {}
+    for x in range(1, ctx.order):
+        fx, gx = f[x], g[x]
+        for y in range(x + 1, ctx.order):
+            s = Syndrome(x ^ y, fx ^ f[y], gx ^ g[y])
+            if s in index:
+                raise CollisionDetected(f"pairs {index[s]} and {(x, y)} share syndrome {s}")
+            index[s] = (x, y)
+    return index
+
+
+def dict_decode(ctx, pair, H, index: dict, received: int):
+    """decode with the dict index and one scalar probe per z for weight 3."""
+    def corrected(positions):
+        word = received
+        for x in positions:
+            word ^= 1 << (x - 1)
+        return DecodeResult("corrected", frozenset(positions), word)
+
+    syn = syndrome_of(H, received)
+    if syn.is_zero():
+        return DecodeResult("clean", frozenset(), received)
+    x = syn.s1
+    if x != 0 and pair.f_table[x] == syn.sf and pair.g_table[x] == syn.sg:
+        return corrected((x,))
+    hit = index.get(syn)
+    if hit is not None:
+        return corrected(hit)
+    f = pair.f_table
+    g = pair.g_table
+    for z in range(1, ctx.order):
+        hit = index.get(Syndrome(syn.s1 ^ z, syn.sf ^ f[z], syn.sg ^ g[z]))
+        if hit is not None:
+            return corrected((z, *hit))
+    return DecodeResult("uncorrectable", frozenset(), None)
 
 
 def exhaustive_is_apn(ctx, table) -> bool:

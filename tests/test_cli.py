@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, report content, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -154,12 +155,22 @@ def test_distance_beyond_oracle_limit_rejected(capsys):
     assert "n <= 7" in json.loads(out)["message"]
 
 
-def test_decode_sim_above_n11_rejected(capsys):
-    code, out = run_cli(capsys, "decode-sim", "gold2", "--n", "13", "--trials", "1")
+def test_decode_sim_at_n13(capsys):
+    code, out = run_cli(capsys, "decode-sim", "gold2", "--n", "13", "--trials", "20",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["verify", "macwilliams"])
+def test_length_beyond_macwilliams_limit_refused_before_scan(capsys, command):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, "gold2", "--n", "17")
+    assert time.perf_counter() - start < 10  # the spectrum scan alone takes about a minute
     assert code == 2
     record = json.loads(out)
     assert record["error"] == "ValueError"
-    assert "n <= 11" in record["message"]
+    assert "ROADMAP item 2" in record["message"]
 
 
 def test_unwritable_out_path_rejected(tmp_path, capsys):

@@ -10,15 +10,27 @@ from tecc import (
     MonomialPair,
     Syndrome,
     build_pair_index,
+    build_parity_check,
     column_syndrome,
     decode,
     encode,
     hex_to_word,
+    monomial_pair,
     syndrome_of,
     word_to_hex,
 )
 
-from helpers import get_ctx, get_H, get_generator, get_pair, get_pair_index
+from helpers import (
+    FAMILIES,
+    dict_decode,
+    dict_pair_index,
+    get_ctx,
+    get_dict_pair_index,
+    get_H,
+    get_generator,
+    get_pair,
+    get_pair_index,
+)
 
 
 def test_codeword_syndrome_is_zero():
@@ -70,9 +82,78 @@ def test_collision_detected_on_degenerate_tables():
         build_pair_index(ctx, MonomialPair(5, 1, 2, zero, zero))
 
 
-def test_pair_index_refused_above_n11():
-    with pytest.raises(ValueError, match="ROADMAP item 3"):
-        build_pair_index(get_ctx(13), get_pair("gold2", 13))
+def test_collision_detected_when_neither_map_is_apn():
+    # x and x^2 are linear, so neither is APN
+    with pytest.raises(CollisionDetected, match="APN power map"):
+        build_pair_index(get_ctx(5), monomial_pair(get_ctx(5), 1, 2))
+
+
+def _random_word(rng, ctx, weight: int) -> int:
+    word = 0
+    for x in rng.sample(range(1, ctx.order), weight):
+        word ^= 1 << (x - 1)
+    return word
+
+
+def _assert_matches_dict_oracle(ctx, pair, H, index, oracle, rng, words: int):
+    assert len(index) == len(oracle)
+    for syn, hit in oracle.items():
+        assert index.get(syn) == hit
+        assert syn in index
+    for _ in range(20_000):
+        syn = Syndrome(rng.randrange(ctx.order), rng.randrange(ctx.order), rng.randrange(ctx.order))
+        assert index.get(syn) == oracle.get(syn)
+        assert (syn in index) == (syn in oracle)
+    for _ in range(words):
+        received = _random_word(rng, ctx, rng.randrange(6))
+        assert decode(ctx, pair, H, index, received) == dict_decode(ctx, pair, H, oracle, received)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pair_index_matches_dict_oracle(family, n):
+    ctx, pair = get_ctx(n), get_pair(family, n)
+    oracle = get_dict_pair_index(family, n)
+    _assert_matches_dict_oracle(ctx, pair, get_H(family, n), get_pair_index(family, n), oracle,
+                                random.Random(f"{family}:{n}"), words=2_000)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_pair_index_swaps_to_g_when_f_is_not_apn(n):
+    # f = x is not APN, g = x^3 is, so the index is built on g and checked by f
+    ctx = get_ctx(n)
+    pair = monomial_pair(ctx, 1, 3)
+    H = build_parity_check(ctx, pair)
+    _assert_matches_dict_oracle(ctx, pair, H, build_pair_index(ctx, pair),
+                                dict_pair_index(ctx, pair), random.Random(n), words=2_000)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_pair_index_len_counts_resolved_pairs(n):
+    ctx, pair = get_ctx(n), get_pair("th", n)
+    index = get_pair_index("th", n)
+    f, g = pair.f_table, pair.g_table
+    resolved = set()
+    for x, y in combinations(range(1, ctx.order), 2):
+        hit = index.get(Syndrome(x ^ y, f[x] ^ f[y], g[x] ^ g[y]))
+        assert hit == (x, y)
+        resolved.add(hit)
+    assert len(index) == len(resolved) == ctx.group_order * (ctx.group_order - 1) // 2
+
+
+def test_pair_index_roundtrips_at_n13():
+    ctx, pair = get_ctx(13), get_pair("gold2", 13)
+    H, gen, index = get_H("gold2", 13), get_generator("gold2", 13), get_pair_index("gold2", 13)
+    assert len(index) == 8191 * 8190 // 2
+    rng = random.Random(13)
+    for weight in (1, 2, 3):
+        for _ in range(4):
+            codeword = encode(gen, rng.getrandbits(gen.dimension))
+            error = _random_word(rng, ctx, weight)
+            res = decode(ctx, pair, H, index, codeword ^ error)
+            assert res.status == "corrected"
+            assert res.corrected_word == codeword
+            assert len(res.error_positions) == weight
 
 
 def test_decode_clean_word():
@@ -127,7 +208,7 @@ def test_weight4_pattern_outside_all_cosets_is_uncorrectable():
 
     reachable = {Syndrome(0, 0, 0)}
     reachable.update(column_syndrome(pair, x) for x in range(1, 32))
-    reachable.update(index)
+    reachable.update(get_dict_pair_index("kasami5", 5))
     for x, y, z in combinations(range(1, 32), 3):
         reachable.add(Syndrome(x ^ y ^ z, f[x] ^ f[y] ^ f[z], g[x] ^ g[y] ^ g[z]))
 
