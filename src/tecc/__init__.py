@@ -57,7 +57,6 @@ from .code import (
     weight3_syndromes_distinct,
 )
 from .macwilliams import (
-    KrawtchoukTable,
     NonIntegralResult,
     macwilliams_transform,
     verify_distance7,

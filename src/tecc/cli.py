@@ -8,6 +8,7 @@ by a fixed label, so identical configurations give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -270,7 +271,9 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and shared by later ones; it depends on no input."""
     parser = _Parser(
         prog="tecc",
         description="triple-error-correcting codes from power-function pairs over GF(2^n)",

@@ -10,6 +10,7 @@ over the transform values of the corresponding (a, b, c) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,20 @@ class RankDefect(ValueError):
 @dataclass
 class ParityCheckMatrix:
     """3n x (2^n - 1) binary matrix; rows are int bitmasks, bit j-1 = column
-    for the field element with integer value j."""
+    for the field element with integer value j.  Immutable by convention
+    after construction."""
 
     n: int
     ncols: int
     rows: list[int]
     family: str | None = None
     param: int | None = None
+
+    @cached_property
+    def echelon(self) -> tuple[int, list[int], list[int]]:
+        """`gf2.row_reduce` of the rows: (rank, RREF rows, pivot columns),
+        computed once however many stages ask for the rank or the RREF."""
+        return gf2.row_reduce(self.rows, self.ncols)
 
     def column(self, x: int) -> int:
         """Column for element x as a 3n-bit int (x, f, g blocks, LSB first)."""
@@ -52,20 +60,10 @@ class ParityCheckMatrix:
 def build_parity_check(ctx: FieldCtx, pair: MonomialPair) -> ParityCheckMatrix:
     """Stack the coordinate rows of x, f(x), g(x) over all nonzero x."""
     n = ctx.n
-    ncols = ctx.order - 1
-    rows = [0] * (3 * n)
-    for j in range(1, ctx.order):
-        bit = 1 << (j - 1)
-        fx = pair.f_table[j]
-        gx = pair.g_table[j]
-        for i in range(n):
-            if (j >> i) & 1:
-                rows[i] |= bit
-            if (fx >> i) & 1:
-                rows[n + i] |= bit
-            if (gx >> i) & 1:
-                rows[2 * n + i] |= bit
-    return ParityCheckMatrix(n, ncols, rows, pair.family, pair.param)
+    blocks = np.stack((np.arange(1, ctx.order), pair.f_np[1:], pair.g_np[1:])).astype(np.uint32)
+    planes = (blocks[:, None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+    rows = [gf2.to_int(plane) for plane in planes.reshape(3 * n, -1).astype(np.uint8)]
+    return ParityCheckMatrix(n, ctx.order - 1, rows, pair.family, pair.param)
 
 
 def rank_and_dimension(H: ParityCheckMatrix) -> tuple[int, int]:
@@ -74,7 +72,7 @@ def rank_and_dimension(H: ParityCheckMatrix) -> tuple[int, int]:
     Raises RankDefect when rank < 3n: the parameter formula presumes full
     rank, so a defect is surfaced rather than silently accepted.
     """
-    rank, _, _ = gf2.row_reduce(H.rows, H.ncols)
+    rank = H.echelon[0]
     if rank < 3 * H.n:
         raise RankDefect(f"rank {rank} < 3n = {3 * H.n}")
     return rank, H.ncols - rank
@@ -140,14 +138,16 @@ def dual_weights_from_spectrum(
 class SystematicGenerator:
     """Nullspace basis of H in systematic form.
 
-    Row i has a lone 1 in message column message_cols[i]; encoding xors the
-    rows selected by the message bits and messages read back off the
-    codeword at those columns.
+    Row i has a lone 1 in message column message_cols[i].  Encoding places
+    the message bits at those columns and sets each pivot column of H's
+    RREF to the parity of its row over them; messages read back off the
+    codeword at the message columns.
     """
 
     length: int
     rows: list[int]
-    message_cols: list[int]
+    message_cols: np.ndarray
+    checks: list[tuple[int, int]]  # (RREF row of H, its pivot column)
 
     @property
     def dimension(self) -> int:
@@ -155,30 +155,28 @@ class SystematicGenerator:
 
 
 def systematic_generator(H: ParityCheckMatrix) -> SystematicGenerator:
-    basis, free_cols = gf2.nullspace_basis(H.rows, H.ncols)
-    return SystematicGenerator(H.ncols, basis, free_cols)
+    rank, rref, pivots = H.echelon
+    basis, free_cols = gf2.nullspace_basis(H.echelon, H.ncols)
+    return SystematicGenerator(H.ncols, basis, np.array(free_cols, dtype=np.int64),
+                               list(zip(rref[:rank], pivots)))
 
 
 def encode(gen: SystematicGenerator, message: int) -> int:
     """Codeword for a message int of gen.dimension bits."""
     if message >> gen.dimension:
         raise ValueError("message wider than the code dimension")
-    word = 0
-    i = 0
-    while message:
-        if message & 1:
-            word ^= gen.rows[i]
-        message >>= 1
-        i += 1
+    bits = np.zeros(gen.length, dtype=np.uint8)
+    bits[gen.message_cols] = gf2.to_bits(message, gen.dimension)
+    word = gf2.to_int(bits)
+    for check, pivot in gen.checks:
+        if (check & word).bit_count() & 1:
+            word |= 1 << pivot
     return word
 
 
 def extract_message(gen: SystematicGenerator, word: int) -> int:
     """Read the message bits back off the systematic columns."""
-    m = 0
-    for i, col in enumerate(gen.message_cols):
-        m |= ((word >> col) & 1) << i
-    return m
+    return gf2.to_int(gf2.to_bits(word, gen.length)[gen.message_cols])
 
 
 def codeword_weight_distribution(ctx: FieldCtx, pair: MonomialPair) -> WeightDistribution:

@@ -111,9 +111,7 @@ def monomial_pair(
         raise ValueError("exponent reduces to 0: the map collapses to x -> 1 on L*")
     if r1 == r2:
         raise DegeneratePair(f"exponents {d1} and {d2} coincide mod 2^n-1 (= {r1})")
-    f_table = [ctx.pow(x, r1) for x in range(ctx.order)]
-    g_table = [ctx.pow(x, r2) for x in range(ctx.order)]
-    return MonomialPair(ctx.n, r1, r2, f_table, g_table, family, param)
+    return MonomialPair(ctx.n, r1, r2, power_table(ctx, r1), power_table(ctx, r2), family, param)
 
 
 def instantiate(spec: FamilySpec, ctx: FieldCtx) -> MonomialPair:
@@ -124,8 +122,7 @@ def instantiate(spec: FamilySpec, ctx: FieldCtx) -> MonomialPair:
 
 def power_table(ctx: FieldCtx, e: int) -> list[int]:
     """Evaluation table of the single power map x^e."""
-    r = e % ctx.group_order
-    return [ctx.pow(x, r) for x in range(ctx.order)]
+    return ctx.pow_array(np.arange(ctx.order), e % ctx.group_order).tolist()
 
 
 def differential_counts(ctx: FieldCtx, table: list[int], q: int) -> np.ndarray:

@@ -75,7 +75,7 @@ class LinearizedMap:
 
     def kernel_basis(self) -> list[int]:
         rows = gf2.transpose(self.cols, self.ctx.n)
-        basis, _ = gf2.nullspace_basis(rows, self.ctx.n)
+        basis, _ = gf2.nullspace_basis(gf2.row_reduce(rows, self.ctx.n), self.ctx.n)
         return basis
 
 

@@ -4,14 +4,17 @@ and the scalar oracles that the batched library paths are checked against."""
 import random
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
 from tecc import (
     DecodeResult,
     FamilySpec,
+    NonIntegralResult,
+    ParityCheckMatrix,
     Syndrome,
+    WeightDistribution,
     build_pair_index,
     build_parity_check,
     codeword_weight_distribution,
@@ -310,3 +313,94 @@ def scalar_weight3_syndromes_distinct(ctx, pair) -> bool:
             return False
         seen.add(s)
     return True
+
+
+def loop_parity_check(ctx, pair) -> ParityCheckMatrix:
+    """build_parity_check as a Python loop over every column and bit."""
+    n = ctx.n
+    rows = [0] * (3 * n)
+    for j in range(1, ctx.order):
+        bit = 1 << (j - 1)
+        fx = pair.f_table[j]
+        gx = pair.g_table[j]
+        for i in range(n):
+            if (j >> i) & 1:
+                rows[i] |= bit
+            if (fx >> i) & 1:
+                rows[n + i] |= bit
+            if (gx >> i) & 1:
+                rows[2 * n + i] |= bit
+    return ParityCheckMatrix(n, ctx.order - 1, rows, pair.family, pair.param)
+
+
+def xor_encode(gen, message: int) -> int:
+    """encode as the xor of the generator rows the message bits select."""
+    if message >> gen.dimension:
+        raise ValueError("message wider than the code dimension")
+    word = 0
+    i = 0
+    while message:
+        if message & 1:
+            word ^= gen.rows[i]
+        message >>= 1
+        i += 1
+    return word
+
+
+def krawtchouk_direct(k: int, v: int, N: int) -> int:
+    """Direct binomial-sum evaluation, used as an independent cross-check."""
+    return sum((-1) ** j * comb(v, j) * comb(N - v, k - j) for j in range(k + 1))
+
+
+class KrawtchoukTable:
+    """Binary Krawtchouk values K_k(v) for a fixed length N, built lazily
+    per argument v by the three-term recurrence
+
+        (k+1) K_(k+1)(v) = (N - 2v) K_k(v) - (N - k + 1) K_(k-1)(v).
+    """
+
+    def __init__(self, N: int) -> None:
+        self.N = N
+        self._columns: dict[int, list[int]] = {}
+
+    def column(self, v: int) -> list[int]:
+        """[K_0(v), K_1(v), ..., K_N(v)]."""
+        if v not in self._columns:
+            N = self.N
+            col = [0] * (N + 1)
+            col[0] = 1
+            if N >= 1:
+                col[1] = N - 2 * v
+            for k in range(1, N):
+                num = (N - 2 * v) * col[k] - (N - k + 1) * col[k - 1]
+                q, r = divmod(num, k + 1)
+                if r:  # pragma: no cover
+                    raise ArithmeticError("Krawtchouk recurrence lost integrality")
+                col[k + 1] = q
+            self._columns[v] = col
+        return self._columns[v]
+
+    def value(self, k: int, v: int) -> int:
+        return self.column(v)[k]
+
+
+def cached_macwilliams_transform(dual_dist, dual_dim: int):
+    """macwilliams_transform summed for every w from one cached Krawtchouk
+    column per dual support weight, with the same checks and messages."""
+    N = dual_dist.length
+    if dual_dist.total() != 1 << dual_dim:
+        raise ValueError(f"distribution mass {dual_dist.total()} != 2^{dual_dim}")
+    table = KrawtchoukTable(N)
+    support = [(v, a) for v, a in enumerate(dual_dist.coeffs) if a]
+    scale = 1 << dual_dim
+    coeffs = []
+    for w in range(N + 1):
+        num = sum(a * table.value(w, v) for v, a in support)
+        q, r = divmod(num, scale)
+        if r or q < 0:
+            raise NonIntegralResult(f"A_{w} = {num}/{scale} is not a non-negative integer")
+        coeffs.append(q)
+    out = WeightDistribution(N, coeffs)
+    if out.total() != 1 << (N - dual_dim):  # pragma: no cover
+        raise ArithmeticError("transformed mass != 2^(N - dual_dim)")
+    return out

@@ -1,7 +1,11 @@
 """CLI subcommands: exit codes, report content, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,29 @@ def test_help_still_exits_zero(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys):
+    # one process: a usage error, then --seed 5, then a call with no seed
+    calls = [
+        ["verify", "gold2", "--n", "5", "--errors", "7"],
+        ["verify", "th", "--n", "5", "--seed", "5", "--format", "json"],
+        ["decode-sim", "gold2", "--n", "5", "--trials", "20", "--format", "json"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "tecc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert json.loads(in_process[2][1])["seed"] == 0

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import tecc.gf2
 from tecc import (
     MonomialPair,
     RankDefect,
@@ -18,6 +19,7 @@ from tecc import (
     rank_and_dimension,
     weight3_syndromes_distinct,
 )
+from tecc.cli import main
 from tecc.decoder import syndrome_of
 
 from helpers import (
@@ -27,7 +29,9 @@ from helpers import (
     get_H,
     get_pair,
     get_report,
+    loop_parity_check,
     scalar_weight3_syndromes_distinct,
+    xor_encode,
 )
 
 # Weight distribution of every n=5 instance, frozen from the exhaustive
@@ -124,6 +128,9 @@ def test_encode_extract_roundtrip():
         assert extract_message(gen, encode(gen, m)) == m
     with pytest.raises(ValueError):
         encode(gen, 1 << gen.dimension)
+    # bits above the code length are not part of the word
+    word = encode(gen, 12345)
+    assert extract_message(gen, word | (1 << gen.length + 3)) == 12345
 
 
 def test_dual_distribution_mass_and_support():
@@ -143,6 +150,8 @@ def test_dual_distribution_refuses_rank_defect():
     bad = MonomialPair(5, 3, 3, t, t)
     with pytest.raises(RankDefect):
         dual_weights_from_spectrum(ctx, bad, get_report("gold2", 5))
+    with pytest.raises(RankDefect):
+        dual_weights_from_spectrum(ctx, bad, get_report("gold2", 5), build_parity_check(ctx, bad))
 
 
 def test_min_distance_bruteforce_all_families():
@@ -201,3 +210,29 @@ def test_weight3_scan_detects_double_error_bch():
     assert len(low) == 1 + 127 + 127 * 126 // 2
     assert not weight3_syndromes_distinct(ctx, bch)
     assert not scalar_weight3_syndromes_distinct(ctx, bch)
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for n in (5, 7, 9) for f in FAMILIES]
+                         + [("kasami5", 13)])
+def test_parity_check_matches_loop_oracle(family, n):
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    assert build_parity_check(ctx, pair) == loop_parity_check(ctx, pair)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_systematic_encode_matches_row_xor(n):
+    rng = random.Random(n)
+    for family in FAMILIES:
+        gen = get_generator(family, n)
+        messages = [0, (1 << gen.dimension) - 1] + [rng.getrandbits(gen.dimension) for _ in range(50)]
+        for m in messages:
+            assert encode(gen, m) == xor_encode(gen, m)
+
+
+def test_verify_row_reduces_H_once(monkeypatch, capsys):
+    calls = []
+    row_reduce = tecc.gf2.row_reduce
+    monkeypatch.setattr(tecc.gf2, "row_reduce", lambda *a: calls.append(1) or row_reduce(*a))
+    assert main(["verify", "gold2", "--n", "7"]) == 0
+    assert len(calls) == 1

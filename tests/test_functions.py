@@ -218,3 +218,23 @@ def test_differential_spectrum_rejects_zero_q():
     ctx = get_ctx(5)
     with pytest.raises(ValueError):
         differential_spectrum(ctx, get_pair("gold2", 5).f_table, 0)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_power_table_matches_scalar_pow_for_every_exponent(n):
+    # e = 0 and e = 2^n - 1 both give the constant map x -> 1, 0 included
+    ctx = get_ctx(n)
+    for e in range(2 * ctx.order):
+        table = power_table(ctx, e)
+        assert table == [ctx.pow(x, e % ctx.group_order) for x in range(ctx.order)], e
+        assert all(type(v) is int for v in table)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_family_tables_match_scalar_pow(n):
+    ctx = get_ctx(n)
+    for family in ("gold2", "gold3", "th", "kasami5"):
+        pair = get_pair(family, n)
+        assert pair.f_table == [ctx.pow(x, pair.d1) for x in range(ctx.order)]
+        assert pair.g_table == [ctx.pow(x, pair.d2) for x in range(ctx.order)]
+        assert all(type(v) is int for v in pair.f_table + pair.g_table)

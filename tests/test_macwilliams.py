@@ -1,19 +1,27 @@
 """Krawtchouk tables and the dual-to-code distribution transform."""
 
+import random
 from math import comb
 
 import pytest
 
 from tecc import (
-    KrawtchoukTable,
     NonIntegralResult,
     WeightDistribution,
     macwilliams_transform,
     verify_distance7,
 )
-from tecc.macwilliams import krawtchouk_direct
+from tecc.gf2 import row_reduce, span
 
-from helpers import FAMILIES, get_bruteforce_dist, get_code_dist, get_dual
+from helpers import (
+    FAMILIES,
+    KrawtchoukTable,
+    cached_macwilliams_transform,
+    get_bruteforce_dist,
+    get_code_dist,
+    get_dual,
+    krawtchouk_direct,
+)
 
 
 def test_krawtchouk_base_cases():
@@ -106,3 +114,69 @@ def test_weight_distribution_helpers():
     assert dist.min_nonzero_weight() == 7
     assert dist.to_pairs()[0] == [0, 1]
     assert dist.support()[0] == 0
+
+
+def _same_outcome(dual, dual_dim):
+    """Both transforms return equal distributions or raise the same error:
+    NonIntegralResult, or the output-mass ArithmeticError when A_0 != 1."""
+    try:
+        expected = cached_macwilliams_transform(dual, dual_dim).coeffs
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            macwilliams_transform(dual, dual_dim)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return False
+    assert macwilliams_transform(dual, dual_dim).coeffs == expected
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_streaming_transform_matches_cached_oracle(n):
+    for family in FAMILIES:
+        assert _same_outcome(get_dual(family, n), 3 * n)
+
+
+@pytest.mark.parametrize("N", [10, 11, 12, 13])
+def test_streaming_transform_on_codes_with_odd_weights(N):
+    # random linear codes: their weights include odd ones (so O_w != 0), and
+    # even N has the midpoint w = N/2 that maps to itself
+    rng = random.Random(N)
+    odd_seen = False
+    for dim in (3, 5, 6):
+        rows = [rng.getrandbits(N) for _ in range(dim)]
+        if row_reduce(rows, N)[0] < dim:
+            continue
+        coeffs = [0] * (N + 1)
+        for word in span(rows):
+            coeffs[word.bit_count()] += 1
+        odd_seen |= any(coeffs[1::2])
+        code = WeightDistribution(N, coeffs)
+        assert _same_outcome(code, dim)
+        dual = macwilliams_transform(code, dim)
+        assert macwilliams_transform(dual, N - dim).coeffs == coeffs
+    assert odd_seen
+
+
+def test_non_integral_only_in_mirrored_half_detected():
+    # A_0..A_2 are non-negative integers; only A_4 = -4/4 fails (N = 5)
+    bogus = WeightDistribution(5, [1, 2, 0, 0, 1, 0])
+    with pytest.raises(NonIntegralResult, match=r"A_4 = -4/4"):
+        macwilliams_transform(bogus, 2)
+    # A_5 and A_6 both fail (N = 7): the smaller w is named, as at w <= N/2
+    twice = WeightDistribution(7, [1, 3, 1, 1, 2, 0, 0, 0])
+    with pytest.raises(NonIntegralResult, match=r"A_5 = -8/8"):
+        macwilliams_transform(twice, 3)
+    assert not _same_outcome(bogus, 2) and not _same_outcome(twice, 3)
+
+
+def test_streaming_transform_matches_oracle_on_random_distributions():
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        N = rng.randrange(1, 10)
+        dual_dim = rng.randrange(0, min(N, 4) + 1)
+        coeffs = [0] * (N + 1)
+        for _ in range(1 << dual_dim):
+            coeffs[rng.randrange(N + 1)] += 1
+        outcomes[_same_outcome(WeightDistribution(N, coeffs), dual_dim)] += 1
+    assert min(outcomes.values()) > 20
