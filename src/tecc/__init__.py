@@ -14,7 +14,6 @@ from .functions import (
     DegeneratePair,
     FamilySpec,
     MonomialPair,
-    differential_spectrum,
     family_exponents,
     instantiate,
     is_apn,
@@ -69,9 +68,7 @@ from .decoder import (
     build_pair_index,
     column_syndrome,
     decode,
-    hex_to_word,
     syndrome_of,
-    word_to_hex,
 )
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass
 
 from .code import (
     RankDefect,
@@ -39,21 +39,7 @@ def fork_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    family: str
-    k: int
-    seed: int = 0
-    trials: int = 1000
-    samples: int = 10_000
-    errors: int = 3
-    format: str = "table"
-    out: str | None = None
-
-
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(config: argparse.Namespace, payload: dict) -> None:
     if config.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     elif config.format == "csv":
@@ -75,11 +61,11 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _spec(config: RunConfig) -> FamilySpec:
+def _spec(config: argparse.Namespace) -> FamilySpec:
     return FamilySpec(config.family, config.k)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     """Run the whole pipeline and print one verdict per stage."""
     ctx = make_ctx(config.n)
     stages: list[tuple[str, bool, str]] = []
@@ -139,7 +125,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: argparse.Namespace) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     report = full_spectrum(ctx, pair)
@@ -147,7 +133,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0 if report.five_valued else 1
 
 
-def cmd_kernel(config: RunConfig) -> int:
+def cmd_kernel(config: argparse.Namespace) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     if config.family in ("gold2", "gold3"):
@@ -169,7 +155,7 @@ def cmd_kernel(config: RunConfig) -> int:
     raise ConditionViolated("kernel scans cover the gold2, gold3 and kasami5 families")
 
 
-def cmd_build(config: RunConfig) -> int:
+def cmd_build(config: argparse.Namespace) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     H = build_parity_check(ctx, pair)
@@ -186,7 +172,7 @@ def cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def cmd_distance(config: RunConfig) -> int:
+def cmd_distance(config: argparse.Namespace) -> int:
     if config.n > 7:
         raise ValueError(f"both distance oracles are limited to n <= 7; got n={config.n}")
     ctx = make_ctx(config.n)
@@ -204,10 +190,18 @@ def cmd_distance(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_macwilliams(config: RunConfig) -> int:
+def cmd_macwilliams(config: argparse.Namespace) -> int:
     ctx = make_ctx(config.n)
     pair = instantiate(_spec(config), ctx)
     check_length(ctx.group_order)
+    # Every A_w <= 2^(N - 3n), so this bounds the digits of the widest one.
+    digits = int((ctx.group_order - 3 * config.n) * math.log10(2)) + 1
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ValueError(
+            f"the code distribution's coefficients reach up to {digits} digits, beyond the "
+            f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
+        )
     report = full_spectrum(ctx, pair)
     dual = dual_weights_from_spectrum(ctx, pair, report)
     dist = macwilliams_transform(dual, 3 * config.n)
@@ -223,7 +217,7 @@ def cmd_macwilliams(config: RunConfig) -> int:
     return 0 if verify_distance7(dist) else 1
 
 
-def cmd_decode_sim(config: RunConfig) -> int:
+def cmd_decode_sim(config: argparse.Namespace) -> int:
     if config.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {config.trials}")
     ctx = make_ctx(config.n)
@@ -296,34 +290,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    family = (args.family or args.family_pos or "").lower()
-    if not family:
+def _config_from_args(args: argparse.Namespace) -> None:
+    """Settle the family name and the family parameter k in place."""
+    args.family = (args.family or args.family_pos or "").lower()
+    if not args.family:
         raise ValueError("a family is required (positional or --family)")
     if args.t is not None and args.k is not None:
         raise ValueError("give either --k or --t, not both")
-    k = args.k if args.k is not None else args.t
-    if k is None:
-        k = (args.n - 1) // 2 if family == "th" else 1
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        family=family,
-        k=k,
-        seed=args.seed,
-        trials=args.trials,
-        samples=args.samples,
-        errors=args.errors,
-        format=args.format,
-        out=args.out,
-    )
+    if args.k is None:
+        args.k = args.t
+    if args.k is None:
+        args.k = (args.n - 1) // 2 if args.family == "th" else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        _config_from_args(args)
+        return _COMMANDS[args.command](args)
     except (ConditionViolated, DegeneratePair, RankDefect, NonIntegralResult, ValueError,
             OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

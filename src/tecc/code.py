@@ -42,13 +42,6 @@ class ParityCheckMatrix:
         computed once however many stages ask for the rank or the RREF."""
         return gf2.row_reduce(self.rows, self.ncols)
 
-    def column(self, x: int) -> int:
-        """Column for element x as a 3n-bit int (x, f, g blocks, LSB first)."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= ((row >> (x - 1)) & 1) << i
-        return out
-
     def to_text(self) -> str:
         """Rows of '0'/'1' characters, leftmost character = column x=1."""
         return "\n".join(
@@ -87,9 +80,6 @@ class WeightDistribution:
 
     def total(self) -> int:
         return sum(self.coeffs)
-
-    def support(self) -> list[int]:
-        return [w for w, a in enumerate(self.coeffs) if a]
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form [[w, A_w], ...] with zero coefficients omitted."""
@@ -136,28 +126,25 @@ def dual_weights_from_spectrum(
 
 @dataclass
 class SystematicGenerator:
-    """Nullspace basis of H in systematic form.
+    """Systematic encoder for the nullspace of H, read off H's RREF.
 
-    Row i has a lone 1 in message column message_cols[i].  Encoding places
-    the message bits at those columns and sets each pivot column of H's
-    RREF to the parity of its row over them; messages read back off the
-    codeword at the message columns.
+    Encoding places the message bits at the non-pivot columns and sets each
+    pivot column of the RREF to the parity of its row over them; messages
+    read back off the codeword at the message columns.
     """
 
     length: int
-    rows: list[int]
     message_cols: np.ndarray
     checks: list[tuple[int, int]]  # (RREF row of H, its pivot column)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.message_cols)
 
 
 def systematic_generator(H: ParityCheckMatrix) -> SystematicGenerator:
     rank, rref, pivots = H.echelon
-    basis, free_cols = gf2.nullspace_basis(H.echelon, H.ncols)
-    return SystematicGenerator(H.ncols, basis, np.array(free_cols, dtype=np.int64),
+    return SystematicGenerator(H.ncols, np.delete(np.arange(H.ncols), pivots),
                                list(zip(rref[:rank], pivots)))
 
 
@@ -186,12 +173,13 @@ def codeword_weight_distribution(ctx: FieldCtx, pair: MonomialPair) -> WeightDis
     H = build_parity_check(ctx, pair)
     rank_and_dimension(H)
     gen = systematic_generator(H)
+    units = [encode(gen, 1 << i) for i in range(gen.dimension)]
     coeffs = [0] * (H.ncols + 1)
     coeffs[0] = 1
     word = 0
-    # Gray-code walk: consecutive messages differ in one generator row.
+    # Gray-code walk: consecutive messages differ in one unit message.
     for m in range(1, 1 << gen.dimension):
-        word ^= gen.rows[(m & -m).bit_length() - 1]
+        word ^= units[(m & -m).bit_length() - 1]
         coeffs[word.bit_count()] += 1
     return WeightDistribution(H.ncols, coeffs)
 

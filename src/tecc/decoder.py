@@ -186,14 +186,3 @@ def _apply(received: int, positions: tuple[int, ...]) -> DecodeResult:
         word ^= 1 << (x - 1)
     return DecodeResult("corrected", frozenset(positions), word)
 
-
-def word_to_hex(word: int, nbits: int) -> str:
-    """Serialize a length-nbits word, LSB-first bit order within bytes."""
-    return word.to_bytes((nbits + 7) // 8, "little").hex()
-
-
-def hex_to_word(text: str, nbits: int) -> int:
-    word = int.from_bytes(bytes.fromhex(text), "little")
-    if word >> nbits:
-        raise ValueError("word wider than the declared bit length")
-    return word

@@ -166,11 +166,6 @@ class FieldCtx:
         """Elementwise x * y over broadcasting int arrays (or scalars)."""
         return self._exp_np[self._log_np[x] + self._log_np[y]]
 
-    def sqr(self, x: int) -> int:
-        if x == 0:
-            return 0
-        return self._exp[2 * self._log[x] % self.group_order]
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -214,12 +209,6 @@ class FieldCtx:
 
     def trace(self, x: int) -> int:
         return self._trace_list[x]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero(self) -> range:
-        return range(1, self.order)
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"

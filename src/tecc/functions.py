@@ -136,13 +136,6 @@ def differential_counts(ctx: FieldCtx, table: list[int], q: int) -> np.ndarray:
     return np.bincount(deriv, minlength=ctx.order)
 
 
-def differential_spectrum(ctx: FieldCtx, table: list[int], q: int) -> dict[int, int]:
-    """Histogram {solution count: number of p values} for a fixed q != 0."""
-    counts = differential_counts(ctx, table, q)
-    freq = np.bincount(counts)
-    return {int(c): int(f) for c, f in enumerate(freq) if f > 0}
-
-
 def power_exponent(ctx: FieldCtx, table) -> int | None:
     """The d in [1, 2^n - 1] with table[x] = x^d for every x, else None.
 
@@ -165,10 +158,5 @@ def is_apn(ctx: FieldCtx, table: list[int]) -> bool:
     if table[0] != 0:
         raise ValueError("table must map 0 to 0")
     t = np.asarray(table, dtype=np.int64)
-    idx = np.arange(ctx.order)
     qs = [1] if power_exponent(ctx, t) is not None else range(1, ctx.order)
-    for q in qs:
-        deriv = t[idx ^ q] ^ t
-        if int(np.bincount(deriv, minlength=ctx.order).max()) > 2:
-            return False
-    return True
+    return all(int(differential_counts(ctx, t, q).max()) <= 2 for q in qs)

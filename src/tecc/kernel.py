@@ -37,6 +37,7 @@ from .functions import MonomialPair
 from .spectrum import transform_rows, transform_single
 
 _CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 array batch
+_ORACLE_SAMPLES = 64  # (a, b, c) the gold scan cross-checks with the scalar oracles
 
 
 @dataclass
@@ -260,7 +261,6 @@ class GoldKernelSummary:
 def gold_kernel_scan(
     ctx: FieldCtx,
     pair: MonomialPair,
-    oracle_samples: int = 64,
     seed: int = 0,
 ) -> GoldKernelSummary:
     """Scan every (b, c) in L* x L* for a gold2/gold3 pair.
@@ -293,7 +293,7 @@ def gold_kernel_scan(
         ok &= ~((values != 0).any(axis=1) & (s % 2 == 0))
         failures += [(b, c) for c in cs[~ok].tolist()]
     rng = random.Random(seed)
-    for _ in range(oracle_samples):
+    for _ in range(_ORACLE_SAMPLES):
         a = rng.randrange(order)
         b = rng.randrange(1, order)
         c = rng.randrange(1, order)

@@ -28,7 +28,9 @@ from tecc import (
 )
 from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
+from tecc.gf2 import nullspace_basis
 from tecc.kernel import (
+    _ORACLE_SAMPLES,
     GoldKernelSummary,
     KasamiKernelSummary,
     KernelReport,
@@ -75,6 +77,13 @@ def get_H(family: str, n: int):
 @lru_cache(maxsize=None)
 def get_generator(family: str, n: int):
     return systematic_generator(get_H(family, n))
+
+
+@lru_cache(maxsize=None)
+def get_generator_rows(family: str, n: int) -> list[int]:
+    """The nullspace basis of H in systematic form, row i at message bit i."""
+    H = get_H(family, n)
+    return nullspace_basis(H.echelon, H.ncols)[0]
 
 
 @lru_cache(maxsize=None)
@@ -193,10 +202,10 @@ def dict_decode(ctx, pair, H, index: dict, received: int):
 
 def exhaustive_is_apn(ctx, table) -> bool:
     """is_apn from the differential counts of every q != 0."""
-    return all(int(differential_counts(ctx, table, q).max()) <= 2 for q in ctx.nonzero())
+    return all(int(differential_counts(ctx, table, q).max()) <= 2 for q in range(1, ctx.order))
 
 
-def scalar_gold_kernel_scan(ctx, pair, oracle_samples: int = 64, seed: int = 0):
+def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
     """gold_kernel_scan with one gold_map and one elimination per (b, c)."""
     t = 2 if pair.family == "gold2" else 3
     k = pair.param
@@ -219,7 +228,7 @@ def scalar_gold_kernel_scan(ctx, pair, oracle_samples: int = 64, seed: int = 0):
             if not ok:
                 failures.append((b, c))
             checked += 1
-    for _ in range(oracle_samples):
+    for _ in range(_ORACLE_SAMPLES):
         a = rng.randrange(order)
         b = rng.randrange(1, order)
         c = rng.randrange(1, order)
@@ -333,15 +342,15 @@ def loop_parity_check(ctx, pair) -> ParityCheckMatrix:
     return ParityCheckMatrix(n, ctx.order - 1, rows, pair.family, pair.param)
 
 
-def xor_encode(gen, message: int) -> int:
+def xor_encode(rows: list[int], message: int) -> int:
     """encode as the xor of the generator rows the message bits select."""
-    if message >> gen.dimension:
+    if message >> len(rows):
         raise ValueError("message wider than the code dimension")
     word = 0
     i = 0
     while message:
         if message & 1:
-            word ^= gen.rows[i]
+            word ^= rows[i]
         message >>= 1
         i += 1
     return word

@@ -177,6 +177,33 @@ def test_length_beyond_macwilliams_limit_refused_before_scan(capsys, command):
     assert "ROADMAP item 2" in record["message"]
 
 
+@pytest.fixture
+def default_int_str_digits():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_macwilliams_refuses_unprintable_coefficients_before_scan(capsys, default_int_str_digits):
+    # at n = 15 the widest A_w may reach 9851 digits, past the 4300-digit limit
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "macwilliams", "gold2", "--n", "15", "--format", "json")
+    assert time.perf_counter() - start < 2  # the scan alone takes seconds
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ValueError"
+    assert "int-to-str limit of 4300" in record["message"]
+
+
+def test_macwilliams_prints_n13(capsys, default_int_str_digits):
+    code, out = run_cli(capsys, "macwilliams", "gold2", "--n", "13", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distance7"] is True
+    assert [7, 892155569955] in payload["code_distribution"]
+
+
 def test_unwritable_out_path_rejected(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out = run_cli(capsys, "spectrum", "gold2", "--n", "5", "--format", "json",

@@ -14,10 +14,8 @@ from tecc import (
     column_syndrome,
     decode,
     encode,
-    hex_to_word,
     monomial_pair,
     syndrome_of,
-    word_to_hex,
 )
 
 from helpers import (
@@ -230,18 +228,3 @@ def test_weight4_pattern_outside_all_cosets_is_uncorrectable():
     res = decode(ctx, pair, H, index, received)
     assert res.status == "uncorrectable"
     assert res.corrected_word is None
-
-
-def test_hex_serialization_roundtrip():
-    rng = random.Random(23)
-    for nbits in (31, 127, 511):
-        for _ in range(50):
-            w = rng.getrandbits(nbits)
-            text = word_to_hex(w, nbits)
-            assert len(text) == 2 * ((nbits + 7) // 8)
-            assert hex_to_word(text, nbits) == w
-    # LSB-first byte order: bit 0 lands in the first byte's low bit
-    assert word_to_hex(1, 31) == "01000000"
-    assert word_to_hex(1 << 8, 31) == "00010000"
-    with pytest.raises(ValueError):
-        hex_to_word("ffffffff", 31)

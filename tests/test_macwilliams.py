@@ -113,7 +113,6 @@ def test_weight_distribution_helpers():
     dist = get_code_dist("gold2", 5)
     assert dist.min_nonzero_weight() == 7
     assert dist.to_pairs()[0] == [0, 1]
-    assert dist.support()[0] == 0
 
 
 def _same_outcome(dual, dual_dim):
