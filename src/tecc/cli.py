@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 
@@ -307,7 +308,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _config_from_args(args)
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that has gone away shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # Nothing more can reach the reader: send the rest of stdout, and the
+        # flush at exit, to devnull rather than into a second traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConditionViolated, DegeneratePair, RankDefect, NonIntegralResult, ValueError,
             OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

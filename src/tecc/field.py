@@ -81,25 +81,26 @@ class FieldCtx:
         self.modulus = smallest_irreducible(n)
 
         self.generator = self._find_generator()
-        exp = [0] * (2 * self.group_order)
-        log = [0] * self.order
-        v = 1
-        for i in range(self.group_order):
-            exp[i] = v
-            exp[i + self.group_order] = v
-            log[v] = i
-            v = self._mul_raw(v, self.generator)
-        if v != 1:  # pragma: no cover
+        # exp[i + 2^j] = exp[i] * g^(2^j): each doubling multiplies the filled
+        # prefix by one constant, and the 2^n entries end on exp[N] = g^N = 1.
+        N = self.group_order
+        exp = np.ones(self.order, dtype=np.uint32)
+        step, power = 1, self.generator
+        while step < self.order:
+            exp[step : 2 * step] = self._mul_const_array(exp[:step], power)
+            power = self._mul_raw(power, power)
+            step <<= 1
+        if exp[N] != 1:  # pragma: no cover
             raise AssertionError("generator order mismatch")
-        self._exp = exp
-        self._log = log
-        # The array log maps 0 to the sentinel 2N, N = 2^n - 1, and the array
-        # exp is zero from index 2N on (length 4N + 1), so a product with a
-        # zero factor gathers 0 without a mask.
-        self._exp_np = np.zeros(4 * self.group_order + 1, dtype=np.int64)
-        self._exp_np[: 2 * self.group_order] = exp
-        self._log_np = np.array(log, dtype=np.int64)
-        self._log_np[0] = 2 * self.group_order
+        # The array log maps 0 to the sentinel 2N and the array exp is zero
+        # from index 2N on (length 4N + 1), so a product with a zero factor
+        # gathers 0 without a mask.
+        self._exp_np = np.zeros(4 * N + 1, dtype=np.int64)
+        self._exp_np[:N] = self._exp_np[N : 2 * N] = exp[:N]
+        self._log_np = np.full(self.order, 2 * N, dtype=np.int64)
+        self._log_np[exp[:N]] = np.arange(N)
+        self._exp = self._exp_np[: 2 * N].tolist()
+        self._log = self._log_np.tolist()
 
         # Tr is GF(2)-linear, so the basis traces determine the full table.
         mask = 0
@@ -126,6 +127,18 @@ class FieldCtx:
             if a & self.order:
                 a ^= self.modulus
         return p
+
+    def _mul_const_array(self, xs: np.ndarray, k: int) -> np.ndarray:
+        """Elementwise xs * k mod the modulus, no tables: the xor of the
+        products alpha^t * k over the set bits t of each x."""
+        shifted = []  # alpha^t * k for t < n
+        for _ in range(self.n):
+            shifted.append(k)
+            k <<= 1
+            if k & self.order:
+                k ^= self.modulus
+        bits = (xs[:, None] >> np.arange(self.n, dtype=xs.dtype)) & 1
+        return np.bitwise_xor.reduce(bits * np.array(shifted, dtype=xs.dtype), axis=1)
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1

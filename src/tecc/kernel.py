@@ -267,9 +267,9 @@ def gold_kernel_scan(
 
     For each b: builds the columns L(alpha^j) of the maps for every c at
     once, gets every s = dim ker L from one array Gaussian elimination, and
-    checks, against the full FWHT value multiset over a, that every squared
-    value lies in {0, 2^(n+s)} and that s is odd whenever a nonzero value
-    occurs.  A random subsample is cross-checked with the naive sum and
+    checks, against the full transform value multiset over a, that every
+    squared value lies in {0, 2^(n+s)} and that s is odd whenever a nonzero
+    value occurs.  A random subsample is cross-checked with the naive sum and
     with the scalar kernel basis.
     """
     if pair.family not in ("gold2", "gold3"):

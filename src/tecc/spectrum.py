@@ -4,18 +4,35 @@ For a pair {f, g} the transform is
 
     F(a, b, c) = sum over x in GF(2^n) of (-1)^Tr(a*x + b*f(x) + c*g(x))
 
-scanned over all a and all nonzero b, c.  The full scan uses a fast
-Walsh-Hadamard transform of the sign sequence s[x] = (-1)^Tr(b*f(x)+c*g(x)).
-The FWHT pairs x against the plain dot-product functional parity(a & x)
-instead of Tr(a*x); since a -> Tr(a*.) runs over all linear functionals
-exactly once, the two value multisets over a coincide up to a permutation of
-the a index.  Everything certified here (value sets, multisets, histograms)
-is permutation-invariant; per-index values always come from the naive sum.
+scanned over all a and all nonzero b, c.  One kernel, `transform_rows`,
+computes every row (b, c) of it that a scan needs:
+
+* Signs by bit parity.  Tr(c*y) = parity(lambda(c) & y), where lambda(c) is
+  the n-bit mask with bit j = Tr(c*alpha^j), so the sign row is
+  1 - 2 parity((lambda(b) & f(x)) ^ (lambda(c) & g(x))), built straight
+  into float32.  lambda is computed once per b and c, never per cell.
+* Walsh-Hadamard transform by matrix products.  The Sylvester matrix
+  factors as H_(2^n) = H_(2^p) (x) H_(2^q), p = floor(n/2), q = n - p, so a
+  row reshaped to X of shape (2^p, 2^q) transforms to H_p X H_q.  The
+  products run in float32 and are exact: every partial sum is an integer of
+  magnitude at most 2^n <= 2^17 < 2^24, so no summation order, blocking or
+  thread count can round it (the bound is checked).  The products stay
+  stacked, one (2^p, 2^q) matrix per row, rather than one 2-D product over
+  the whole batch: a large threaded 2-D product was seen to stall for
+  milliseconds in some processes, the stacked form was not.
+
+The transform pairs x against the plain dot-product functional
+parity(a & x) instead of Tr(a*x); since a -> Tr(a*.) runs over all linear
+functionals exactly once, the two value multisets over a coincide up to a
+permutation of the a index.  Everything certified here (value sets,
+multisets, histograms) is permutation-invariant; per-index values always
+come from the naive sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -26,6 +43,10 @@ from .functions import MonomialPair, power_exponent
 # Bound on the rows x 2^n cells of one transform_rows batch in the scans:
 # 256 rows at n = 13, 64 at n = 15.
 _BATCH_CELLS = 1 << 21
+
+# float32 holds every integer of magnitude <= 2^24 exactly, so a transform
+# of +-1 rows at most this wide is exact in any summation order.
+_F32_EXACT_WIDTH = 1 << 24
 
 
 def allowed_values(n: int) -> set[int]:
@@ -73,38 +94,65 @@ def transform_single(ctx: FieldCtx, pair: MonomialPair, a, b, c):
     return int(total) if total.ndim == 0 else total
 
 
-def fwht_inplace(mat: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis, in place, exact ints."""
-    size = mat.shape[-1]
-    h = 1
-    while h < size:
-        view = mat.reshape(mat.shape[0], -1, 2, h)
-        even = view[:, :, 0, :]
-        odd = view[:, :, 1, :]
-        diff = even - odd
-        even += odd
-        odd[:] = diff
-        h <<= 1
-    return mat
+@cache
+def _sylvester(k: int) -> np.ndarray:
+    """The Sylvester Hadamard matrix H_(2^k), entry (i, j) = (-1)^parity(i & j),
+    read-only since every caller shares it."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.float32)
+    h.flags.writeable = False
+    return h
+
+
+def _walsh_hadamard(signs: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of float32 +-1 rows along the last axis, as
+    the stacked products H_p X H_q (see the module docstring)."""
+    m, width = signs.shape
+    if width > _F32_EXACT_WIDTH:
+        raise ArithmeticError(f"rows of width {width} leave the exact float32 range")
+    n = width.bit_length() - 1
+    p = n // 2
+    x = signs.reshape(m, 1 << p, 1 << (n - p))
+    return (np.matmul(_sylvester(p), x) @ _sylvester(n - p)).reshape(m, width)
+
+
+def _trace_masks(ctx: FieldCtx, cs) -> np.ndarray:
+    """lambda(c) for each c: the n-bit mask with bit j = Tr(c*alpha^j), so
+    Tr(c*y) = parity(lambda(c) & y)."""
+    basis = 1 << np.arange(ctx.n)  # alpha^j
+    traces = ctx.trace_table[ctx.mul_array(np.asarray(cs)[..., None], basis)]
+    return (traces * basis).sum(axis=-1).astype(np.uint32)
+
+
+def _sign_rows(ctx: FieldCtx, f_np: np.ndarray, g_np: np.ndarray, b: int, cs) -> np.ndarray:
+    """(-1)^Tr(b*f(x) + c*g(x)) in float32, one row per c in cs, as
+    1 - 2 parity((lambda(b) & f(x)) ^ (lambda(c) & g(x))).  A function of
+    its own so that its temporaries are freed before the transform runs."""
+    masked = _trace_masks(ctx, cs)[:, None] & g_np.astype(np.uint32)
+    masked ^= _trace_masks(ctx, b) & f_np.astype(np.uint32)
+    parity = np.bitwise_count(masked)
+    parity &= 1
+    signs = parity.astype(np.float32)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def transform_rows(
     ctx: FieldCtx, f_np: np.ndarray, g_np: np.ndarray, b: int, cs
 ) -> np.ndarray:
-    """FWHT rows of (-1)^Tr(b*f(x) + c*g(x)), one row per c in cs.
+    """Walsh-Hadamard rows of (-1)^Tr(b*f(x) + c*g(x)), one row per c in cs.
 
     Row i is the multiset of F(a, b, cs[i]) over a (see the module
     docstring).  Values are int16 up to n = 13 and int32 above, so widen
     before squaring.
     """
-    cs = np.asarray(cs, dtype=np.int64)
-    masked = ctx.mul_array(b, f_np) ^ ctx.mul_array(cs[:, None], g_np)
     acc = np.int16 if ctx.order < (1 << 15) else np.int32  # sums reach +-2^n
-    return fwht_inplace(1 - 2 * ctx.trace_table[masked].astype(acc))
+    return _walsh_hadamard(_sign_rows(ctx, f_np, g_np, b, cs)).astype(acc)
 
 
 def spectrum_for_bc(ctx: FieldCtx, pair: MonomialPair, b: int, c: int) -> np.ndarray:
-    """All 2^n transform values for fixed (b, c), via the FWHT fast path.
+    """All 2^n transform values for fixed (b, c), via the transform kernel.
 
     As a multiset this equals {transform_single(a, b, c) : a in L}; the
     per-index correspondence is permuted (see module docstring).

@@ -112,6 +112,26 @@ def get_bruteforce_dist(family: str, n: int):
     return codeword_weight_distribution(get_ctx(n), get_pair(family, n))
 
 
+def loop_field_tables(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FieldCtx's exp and log arrays, built one _mul_raw step at a time,
+    and the trace table summed from them: Tr(g^i) = sum over k of g^(i 2^k)."""
+    N = ctx.group_order
+    exp = np.zeros(4 * N + 1, dtype=np.int64)
+    log = np.full(ctx.order, 2 * N, dtype=np.int64)
+    v = 1
+    for i in range(N):
+        exp[i] = exp[i + N] = v
+        log[v] = i
+        v = ctx._mul_raw(v, ctx.generator)
+    assert v == 1
+    powers = np.arange(N)
+    trace = np.zeros(ctx.order, dtype=np.int64)
+    for _ in range(ctx.n):
+        trace[exp[:N]] ^= exp[powers]
+        powers = powers * 2 % N
+    return exp, log, trace
+
+
 def direct_spectrum(ctx, pair, b: int, c: int) -> np.ndarray:
     """Transform values for every a by direct summation over x (no FWHT).
 
@@ -122,6 +142,31 @@ def direct_spectrum(ctx, pair, b: int, c: int) -> np.ndarray:
     ax = ctx.mul_array(xs[:, None], xs[None, :])
     signs = 1 - 2 * ctx.trace_table[ax ^ masked[None, :]].astype(np.int64)
     return signs.sum(axis=1)
+
+
+def fwht_inplace(mat: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis by the radix-2
+    butterfly, in place, exact ints."""
+    size = mat.shape[-1]
+    h = 1
+    while h < size:
+        view = mat.reshape(mat.shape[0], -1, 2, h)
+        even = view[:, :, 0, :]
+        odd = view[:, :, 1, :]
+        diff = even - odd
+        even += odd
+        odd[:] = diff
+        h <<= 1
+    return mat
+
+
+def gather_transform_rows(ctx, f_np, g_np, b: int, cs) -> np.ndarray:
+    """transform_rows with the signs gathered from the trace table per cell
+    and the butterfly transform."""
+    cs = np.asarray(cs, dtype=np.int64)
+    masked = ctx.mul_array(b, f_np) ^ ctx.mul_array(cs[:, None], g_np)
+    acc = np.int16 if ctx.order < (1 << 15) else np.int32
+    return fwht_inplace(1 - 2 * ctx.trace_table[masked].astype(acc))
 
 
 def loop_transform(ctx, pair, a: int, b: int, c: int) -> int:

@@ -236,6 +236,11 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage:")
 
 
+def _cli_env(**extra) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": str(src), **extra}
+
+
 def test_shared_parser_leaks_no_state_between_calls(capsys):
     # one process: a usage error, then --seed 5, then a call with no seed
     calls = [
@@ -251,12 +256,39 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
             code = exc.code
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
     fresh = []
     for argv in calls:
-        proc = subprocess.run([sys.executable, "-m", "tecc.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "tecc.cli", *argv], env=_cli_env(),
                               capture_output=True, text=True, timeout=120)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
     assert json.loads(in_process[2][1])["seed"] == 0
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the reader stops after 300 bytes of a ~1 MB record, as `| head -c 300` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tecc.cli", "macwilliams", "gold2", "--n", "11",
+         "--format", "json"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 1
+    assert head.startswith(b"{")
+    assert err == b""
+
+
+def test_blas_thread_count_cannot_change_a_result():
+    # the transform's float32 products are exact, so no blocking or thread
+    # split of the BLAS products can round a value
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "tecc.cli", "spectrum", "gold2", "--n", "11",
+             "--format", "json"],
+            env=_cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, timeout=300)
+        for threads in ("1", "2")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["five_valued"] is True

@@ -10,7 +10,7 @@ import pytest
 import tecc
 from tecc.field import FieldCtx, SUPPORTED_DEGREES, is_irreducible, make_ctx, poly_mod
 
-from helpers import get_ctx
+from helpers import get_ctx, loop_field_tables
 
 # Smallest irreducible modulus per degree, frozen from the exhaustive scan.
 EXPECTED_MODULI = {
@@ -84,6 +84,19 @@ def test_trace_table_matches_power_sums_everywhere():
             acc ^= term
         assert set(np.unique(acc).tolist()) <= {0, 1}
         assert (acc.astype(np.uint8) == ctx.trace_table).all()
+
+
+@pytest.mark.parametrize("n", SUPPORTED_DEGREES)
+def test_doubled_tables_match_the_mul_raw_loop(n):
+    # exp is filled by doubling, exp[i + 2^j] = exp[i] * g^(2^j); the oracle
+    # walks g^i one raw product at a time
+    ctx = get_ctx(n)
+    exp, log, trace = loop_field_tables(ctx)
+    assert np.array_equal(ctx._exp_np, exp)
+    assert np.array_equal(ctx._log_np, log)
+    assert np.array_equal(ctx.trace_table, trace)
+    assert ctx._exp == exp[: 2 * ctx.group_order].tolist()
+    assert ctx._log == log.tolist()
 
 
 def test_trace_basis_values_against_raw_arithmetic():

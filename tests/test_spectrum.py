@@ -1,13 +1,16 @@
-"""Transform values, FWHT fast path, five-value certification."""
+"""Transform values, the row kernel against its oracles, five-value certification."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tecc import spectrum
-from tecc.spectrum import cyclotomic_cosets
+from tecc.field import SUPPORTED_DEGREES
+from tecc.functions import power_exponent
+from tecc.spectrum import cyclotomic_cosets, transform_rows
 
 from tecc import (
     allowed_values,
@@ -21,6 +24,8 @@ from tecc import (
 from helpers import (
     FAMILIES,
     direct_spectrum,
+    fwht_inplace,
+    gather_transform_rows,
     get_ctx,
     get_pair,
     get_report,
@@ -69,6 +74,70 @@ def test_fwht_multiset_equals_naive_loop():
             naive = sorted(transform_single(ctx, pair, a, b, c) for a in range(ctx.order))
             fast = sorted(int(v) for v in spectrum_for_bc(ctx, pair, b, c))
             assert naive == fast
+
+
+@pytest.mark.parametrize("n", SUPPORTED_DEGREES)
+def test_matmul_transform_equals_the_butterfly(n):
+    rng = np.random.default_rng(n)
+    rows = 1 - 2 * rng.integers(0, 2, size=(3, 1 << n), dtype=np.int64)
+    fast = spectrum._walsh_hadamard(rows.astype(np.float32))
+    assert np.array_equal(fast, fwht_inplace(rows.copy()))
+
+
+@pytest.mark.parametrize("n", SUPPORTED_DEGREES)
+def test_transform_rows_equal_the_gather_oracle_on_random_tables(n):
+    # random tables, no power maps, give random sign rows; int16 up to
+    # n = 13, int32 above
+    ctx = get_ctx(n)
+    rng = np.random.default_rng(100 + n)
+    f, g = rng.integers(0, ctx.order, size=(2, ctx.order))
+    assert power_exponent(ctx, f) is None and power_exponent(ctx, g) is None
+    b = int(rng.integers(1, ctx.order))
+    cs = np.concatenate(([0, 1], rng.integers(2, ctx.order, size=2)))
+    fast = transform_rows(ctx, f, g, b, cs)
+    slow = gather_transform_rows(ctx, f, g, b, cs)
+    assert fast.dtype == slow.dtype == (np.int16 if n <= 13 else np.int32)
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7, 9) for f in FAMILIES])
+def test_transform_rows_equal_the_gather_oracle(family, n):
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    cs = np.arange(ctx.order)
+    for b in (0, 1, ctx.generator, ctx.group_order):
+        fast = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
+        assert np.array_equal(fast, gather_transform_rows(ctx, pair.f_np, pair.g_np, b, cs))
+
+
+def test_transform_refuses_rows_beyond_exact_float32(monkeypatch):
+    # 2^24 is the last width whose +-1 partial sums float32 holds exactly
+    assert spectrum._F32_EXACT_WIDTH == 1 << 24
+    assert np.float32(2**24 + 1) == np.float32(2**24)
+    ctx = get_ctx(7)
+    pair = get_pair("gold2", 7)
+    monkeypatch.setattr(spectrum, "_F32_EXACT_WIDTH", 1 << 7)
+    assert transform_rows(ctx, pair.f_np, pair.g_np, 1, [1]).shape == (1, 128)
+    monkeypatch.setattr(spectrum, "_F32_EXACT_WIDTH", 1 << 6)
+    with pytest.raises(ArithmeticError, match="exact float32"):
+        transform_rows(ctx, pair.f_np, pair.g_np, 1, [1])
+
+
+def test_batch_cells_bound_a_full_spectrum_batch_at_n13():
+    # the 632 coset rows of b = 1 hold 5.2M cells, so the scan takes three
+    # batches of at most 2^21; the traced peak stays under 20 bytes a cell
+    # of one batch, which a single batch of every row would exceed
+    ctx = get_ctx(13)
+    pair = get_pair("gold2", 13)
+    pair.f_np, pair.g_np  # cached tables, not the scan's own
+    tracemalloc.start()
+    try:
+        report = full_spectrum(ctx, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.five_valued
+    assert peak <= 20 * spectrum._BATCH_CELLS
 
 
 def test_direct_matrix_matches_scalar_oracle():
