@@ -35,10 +35,7 @@ from .kernel import (
     LinearizedMap,
     gold_kernel_scan,
     gold_map,
-    kasami_g_form,
     kasami_kernel_scan,
-    kasami_map,
-    kernel_of,
 )
 from .code import (
     ParityCheckMatrix,
@@ -49,7 +46,6 @@ from .code import (
     codeword_weight_distribution,
     dual_weights_from_spectrum,
     encode,
-    extract_message,
     min_distance_bruteforce,
     rank_and_dimension,
     systematic_generator,
@@ -66,7 +62,6 @@ from .decoder import (
     PairIndex,
     Syndrome,
     build_pair_index,
-    column_syndrome,
     decode,
     syndrome_of,
 )

@@ -129,8 +129,7 @@ class SystematicGenerator:
     """Systematic encoder for the nullspace of H, read off H's RREF.
 
     Encoding places the message bits at the non-pivot columns and sets each
-    pivot column of the RREF to the parity of its row over them; messages
-    read back off the codeword at the message columns.
+    pivot column of the RREF to the parity of its row over them.
     """
 
     length: int
@@ -159,11 +158,6 @@ def encode(gen: SystematicGenerator, message: int) -> int:
         if (check & word).bit_count() & 1:
             word |= 1 << pivot
     return word
-
-
-def extract_message(gen: SystematicGenerator, word: int) -> int:
-    """Read the message bits back off the systematic columns."""
-    return gf2.to_int(gf2.to_bits(word, gen.length)[gen.message_cols])
 
 
 def codeword_weight_distribution(ctx: FieldCtx, pair: MonomialPair) -> WeightDistribution:

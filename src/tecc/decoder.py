@@ -61,10 +61,6 @@ def syndrome_of(H: ParityCheckMatrix, received: int) -> Syndrome:
     return Syndrome(v & mask, (v >> n) & mask, v >> (2 * n))
 
 
-def column_syndrome(pair: MonomialPair, x: int) -> Syndrome:
-    return Syndrome(x, pair.f_table[x], pair.g_table[x])
-
-
 class PairIndex:
     """Weight-2 syndrome -> unordered position pair (x, y), x < y, for all
     C(2^n - 1, 2) pairs, through the root table of the APN power map h.

@@ -110,8 +110,7 @@ class FieldCtx:
         self.trace_mask = mask
         xs = np.arange(self.order, dtype=np.uint32)
         self.trace_table = (np.bitwise_count(xs & np.uint32(mask)) & 1).astype(np.uint8)
-        self._trace_list = self.trace_table.tolist()
-        assert self._trace_list[0] == 0
+        assert self.trace_table[0] == 0
         assert int(self.trace_table.sum()) == self.order // 2
 
     # -- construction helpers -------------------------------------------
@@ -179,11 +178,6 @@ class FieldCtx:
         """Elementwise x * y over broadcasting int arrays (or scalars)."""
         return self._exp_np[self._log_np[x] + self._log_np[y]]
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(x, self.order - 2)
-
     def pow(self, x: int, e: int) -> int:
         """x^e with e >= 0; exponents act mod 2^n - 1 on nonzero x."""
         if e < 0:
@@ -219,9 +213,6 @@ class FieldCtx:
         shift = np.asarray(k, dtype=np.int64) % self.n
         out = self._exp_np[(self._log_np[x] << shift) % self.group_order]
         return np.where(x == 0, 0, out)
-
-    def trace(self, x: int) -> int:
-        return self._trace_list[x]
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"

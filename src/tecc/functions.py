@@ -7,8 +7,9 @@ Each family fixes a pair of exponents {d1, d2} over GF(2^n):
     th       x^(2^t+1),          x^(2^(t+2)+3)             n = 2t + 1
     kasami5  x^(2^(2k)-2^k+1),   x^(2^(4k)-2^(3k)+2^(2k)-2^k+1)   gcd(n, k) = 1
 
-Raw exponents can exceed 2^n - 1 (the kasami5 ones grow as 2^(4k)), so they
-are reduced mod 2^n - 1 before the evaluation tables are built.
+The written exponents can far exceed 2^n - 1 (the kasami5 ones grow as
+2^(4k)), so every power of two is taken mod 2^n - 1 as it is formed, and no
+2^k is ever built.
 """
 
 from __future__ import annotations
@@ -49,23 +50,24 @@ class FamilySpec:
 
 
 def family_exponents(spec: FamilySpec, n: int) -> tuple[int, int]:
-    """Raw (unreduced) exponent pair for a family instance, after checking
-    the family's side condition."""
+    """The exponent pair of a family instance, reduced mod 2^n - 1, after
+    checking the family's side condition.  Each 2^(jk) comes from
+    pow(2, j*k, 2^n - 1), so a huge k costs no more than a small one."""
     k = spec.k
+    N = (1 << n) - 1
+    p = [pow(2, j * k, N) for j in range(5)]  # p[j] = 2^(jk) mod 2^n - 1
     if spec.family == "th":
         if n != 2 * k + 1:
             raise ConditionViolated(f"family th requires n = 2t+1; got n={n}, t={k}")
-        return (1 << k) + 1, (1 << (k + 2)) + 3
+        return (p[1] + 1) % N, (4 * p[1] + 3) % N
     if gcd(n, k) != 1:
         raise ConditionViolated(f"family {spec.family} requires gcd(n,k)=1; gcd({n},{k})={gcd(n, k)}")
     if spec.family == "gold2":
-        return (1 << k) + 1, (1 << (2 * k)) + 1
+        return (p[1] + 1) % N, (p[2] + 1) % N
     if spec.family == "gold3":
-        return (1 << k) + 1, (1 << (3 * k)) + 1
+        return (p[1] + 1) % N, (p[3] + 1) % N
     # kasami5
-    d1 = (1 << (2 * k)) - (1 << k) + 1
-    d2 = (1 << (4 * k)) - (1 << (3 * k)) + (1 << (2 * k)) - (1 << k) + 1
-    return d1, d2
+    return (p[2] - p[1] + 1) % N, (p[4] - p[3] + p[2] - p[1] + 1) % N
 
 
 @dataclass

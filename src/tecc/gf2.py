@@ -93,10 +93,3 @@ def transpose(rows: list[int], ncols: int) -> list[int]:
         out.append(v)
     return out
 
-
-def span(basis: list[int]) -> list[int]:
-    """All 2^len(basis) GF(2) combinations of the basis vectors, sorted."""
-    out = [0]
-    for b in basis:
-        out += [v ^ b for v in out]
-    return sorted(out)

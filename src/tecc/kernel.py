@@ -34,7 +34,7 @@ import numpy as np
 from . import gf2
 from .field import FieldCtx
 from .functions import MonomialPair
-from .spectrum import transform_rows, transform_single
+from .spectrum import _batches, transform_rows, transform_single
 
 _CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 array batch
 _ORACLE_SAMPLES = 64  # (a, b, c) the gold scan cross-checks with the scalar oracles
@@ -63,26 +63,10 @@ class LinearizedMap:
             acc ^= ctx.mul(coeff, ctx.frobenius(u, shift))
         return acc
 
-    def eval_matrix(self, u: int) -> int:
-        """Matrix-vector product over GF(2)."""
-        acc = 0
-        j = 0
-        while u:
-            if u & 1:
-                acc ^= self.cols[j]
-            u >>= 1
-            j += 1
-        return acc
-
     def kernel_basis(self) -> list[int]:
         rows = gf2.transpose(self.cols, self.ctx.n)
         basis, _ = gf2.nullspace_basis(gf2.row_reduce(rows, self.ctx.n), self.ctx.n)
         return basis
-
-
-def kernel_of(lmap: LinearizedMap) -> list[int]:
-    """All 2^s kernel elements, sorted; always contains 0."""
-    return gf2.span(lmap.kernel_basis())
 
 
 def _gold_terms(frob, t: int, k: int, b, c) -> list:
@@ -111,38 +95,12 @@ def gold_map(ctx: FieldCtx, t: int, k: int, b: int, c: int) -> LinearizedMap:
     return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
 
 
-def kasami_map(ctx: FieldCtx, k: int, a: int, b: int, c: int) -> LinearizedMap:
-    """The six-term L(u) for the substituted kasami5 transform."""
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("at least one of a, b, c must be nonzero")
-    terms = _kasami_terms(ctx.frobenius, k, a, b, c)
-    return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
-
-
 def _eval_terms(ctx: FieldCtx, terms: list, us: np.ndarray) -> np.ndarray:
     """sum of coeff * u^(2^shift) over the terms, one row per coefficient:
     (batch,) coefficient arrays against the points us give (batch, len(us))."""
     out = 0
     for coeff, shift in terms:
         out = out ^ ctx.mul_array(np.asarray(coeff)[..., None], ctx.frobenius_array(us, shift))
-    return out
-
-
-def kasami_quadratic(ctx: FieldCtx, k: int, a: int, b: int, c: int, u: int) -> int:
-    """Q(u) = a*u^(2^k+1) + b*u^(2^(3k)+1) + c*u^(2^(5k)+1)."""
-    out = 0
-    for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
-        if coeff:
-            out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, shift), u))
-    return out
-
-
-def gold_quadratic(ctx: FieldCtx, t: int, k: int, a: int, b: int, c: int, u: int) -> int:
-    """Q(u) = a*u + b*u^(2^k+1) + c*u^(2^(tk)+1)."""
-    out = ctx.mul(a, u)
-    for coeff, shift in ((b, k), (c, t * k)):
-        if coeff:
-            out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, shift), u))
     return out
 
 
@@ -158,49 +116,6 @@ _G_TERMS = (
     (2, -3, 2, -3),
     (2, -4, 1, -4),
 )
-
-
-def kasami_g_form(ctx: FieldCtx, k: int, a: int, b: int, c: int, u: int) -> int:
-    """The nine-term companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u)."""
-    coeffs = (a, b, c)
-    out = 0
-    for which, cf, s1, s2 in _G_TERMS:
-        base = coeffs[which]
-        if base == 0:
-            continue
-        coeff = ctx.frobenius(base, cf * k)
-        out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, s1 * k), ctx.frobenius(u, s2 * k)))
-    return out
-
-
-def quadratic_pair_identity(ctx: FieldCtx, form, u: int, v: int) -> int:
-    """(u+v)*(v*G(u) + u*G(v)) + u*v*G(u+v) for a quadratic form G.
-
-    Zero whenever G vanishes on u, v and u+v; in general it equals the
-    cross-term sum kasami_identity_residual for the kasami G.
-    """
-    gu, gv, guv = form(u), form(v), form(u ^ v)
-    left = ctx.mul(u ^ v, ctx.mul(v, gu) ^ ctx.mul(u, gv))
-    return left ^ ctx.mul(ctx.mul(u, v), guv)
-
-
-def kasami_identity_residual(ctx: FieldCtx, k: int, a: int, b: int, c: int, u: int, v: int) -> int:
-    """sum of coeff * (u^(2^s1) v + u v^(2^s1)) * (u^(2^s2) v + u v^(2^s2))
-    over the mixed-shift terms of G.  Terms with s2 = 0 contribute nothing,
-    which is why a drops out of the polarized equation."""
-    coeffs = (a, b, c)
-    out = 0
-    for which, cf, s1, s2 in _G_TERMS:
-        if s2 == 0:
-            continue
-        base = coeffs[which]
-        if base == 0:
-            continue
-        coeff = ctx.frobenius(base, cf * k)
-        f1 = ctx.mul(ctx.frobenius(u, s1 * k), v) ^ ctx.mul(u, ctx.frobenius(v, s1 * k))
-        f2 = ctx.mul(ctx.frobenius(u, s2 * k), v) ^ ctx.mul(u, ctx.frobenius(v, s2 * k))
-        out ^= ctx.mul(coeff, ctx.mul(f1, f2))
-    return out
 
 
 @dataclass
@@ -258,19 +173,21 @@ class GoldKernelSummary:
         }
 
 
-def gold_kernel_scan(
-    ctx: FieldCtx,
-    pair: MonomialPair,
-    seed: int = 0,
-) -> GoldKernelSummary:
+def _gold_dims(ctx: FieldCtx, t: int, k: int, b, c) -> np.ndarray:
+    """s = dim ker L at every (b, c) of the broadcast coefficient arrays, from
+    the columns L(alpha^j) and one array Gaussian elimination."""
+    cols = _eval_terms(ctx, _gold_terms(ctx.frobenius_array, t, k, b, c), 1 << np.arange(ctx.n))
+    return ctx.n - gf2.rank_array(cols, ctx.n)
+
+
+def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKernelSummary:
     """Scan every (b, c) in L* x L* for a gold2/gold3 pair.
 
-    For each b: builds the columns L(alpha^j) of the maps for every c at
-    once, gets every s = dim ker L from one array Gaussian elimination, and
+    For each b, in batches of c rows: gets every s = dim ker L at once and
     checks, against the full transform value multiset over a, that every
     squared value lies in {0, 2^(n+s)} and that s is odd whenever a nonzero
-    value occurs.  A random subsample is cross-checked with the naive sum and
-    with the scalar kernel basis.
+    value occurs.  Only the count of each s is kept.  A random subsample is
+    cross-checked with the naive sum and with the scalar kernel basis.
     """
     if pair.family not in ("gold2", "gold3"):
         raise ValueError(f"kernel scan expects a gold2 or gold3 pair, got {pair.family}")
@@ -281,35 +198,34 @@ def gold_kernel_scan(
 
     failures: list[tuple[int, int]] = []
     cs = np.arange(1, order)
-    basis = 1 << np.arange(n)
-    s_all = np.empty((order - 1, order - 1), dtype=np.int64)  # s at (b, c)
+    s_freq = np.zeros(n + 1, dtype=np.int64)  # number of (b, c) with each s
     for b in range(1, order):
-        cols = _eval_terms(ctx, _gold_terms(ctx.frobenius_array, t, k, b, cs), basis)
-        s = n - gf2.rank_array(cols, n)
-        s_all[b - 1] = s
-        values = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
-        sq = values ** 2
-        ok = ((sq == 0) | (sq == 1 << (n + s)[:, None])).all(axis=1)
-        ok &= ~((values != 0).any(axis=1) & (s % 2 == 0))
-        failures += [(b, c) for c in cs[~ok].tolist()]
+        for part in _batches(n, cs):
+            s = _gold_dims(ctx, t, k, b, cs[part])
+            s_freq += np.bincount(s, minlength=n + 1)
+            values = transform_rows(ctx, pair.f_np, pair.g_np, b, cs[part]).astype(np.int64)
+            sq = values ** 2
+            ok = ((sq == 0) | (sq == 1 << (n + s)[:, None])).all(axis=1)
+            ok &= ~((values != 0).any(axis=1) & (s % 2 == 0))
+            failures += [(b, c) for c in cs[part][~ok].tolist()]
     rng = random.Random(seed)
-    for _ in range(_ORACLE_SAMPLES):
-        a = rng.randrange(order)
-        b = rng.randrange(1, order)
-        c = rng.randrange(1, order)
+    samples = [(rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
+               for _ in range(_ORACLE_SAMPLES)]
+    batched = _gold_dims(ctx, t, k, *np.array(samples).T[1:]).tolist()
+    for (a, b, c), s_batched in zip(samples, batched):
         s = len(gold_map(ctx, t, k, b, c).kernel_basis())
         fw = transform_single(ctx, pair, a, b, c)
-        if s != s_all[b - 1, c - 1] or fw * fw not in (0, 1 << (n + s)):
+        if s != s_batched or fw * fw not in (0, 1 << (n + s)):
             failures.append((b, c))
-    s_values, s_freq = np.unique(s_all, return_counts=True)
+    s_values = np.flatnonzero(s_freq)
     return GoldKernelSummary(
         family=pair.family,
         n=n,
         k=k,
         t=t,
-        pairs_checked=s_all.size,
-        max_s=int(s_all.max()),
-        s_counts=dict(zip(s_values.tolist(), s_freq.tolist())),
+        pairs_checked=int(s_freq.sum()),
+        max_s=int(s_values[-1]),
+        s_counts=dict(zip(s_values.tolist(), s_freq[s_values].tolist())),
         all_consistent=not failures,
         failures=failures,
     )
@@ -438,8 +354,8 @@ def kasami_kernel_scan(
     rng = random.Random(seed)
 
     # The substitution x -> x^(2^k+1) must be a permutation of L.
-    sub = [ctx.pow(x, (1 << k) + 1) for x in range(order)]
-    permutation_ok = len(set(sub)) == order
+    sub = ctx.pow_array(np.arange(order), pow(2, k, ctx.group_order) + 1)
+    permutation_ok = len(set(sub.tolist())) == order
 
     # Summing the substituted form Q(x) over all x must reproduce the
     # transform computed from the original pair tables.

@@ -1,5 +1,7 @@
 """Shared cached builders: expensive artifacts are computed once per run,
-and the scalar oracles that the batched library paths are checked against."""
+and the scalar oracles that the batched library paths are checked against:
+among them the scalar kernel forms (L, Q, G and the polarization identity)
+that the kernel scans evaluate as arrays."""
 
 import random
 from functools import lru_cache
@@ -28,17 +30,16 @@ from tecc import (
 )
 from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
-from tecc.gf2 import nullspace_basis
+from tecc.gf2 import nullspace_basis, to_bits, to_int
 from tecc.kernel import (
+    _G_TERMS,
     _ORACLE_SAMPLES,
     GoldKernelSummary,
     KasamiKernelSummary,
     KernelReport,
+    LinearizedMap,
+    _kasami_terms,
     gold_map,
-    kasami_g_form,
-    kasami_map,
-    kasami_quadratic,
-    kernel_of,
 )
 from tecc.spectrum import transform_rows, transform_single
 
@@ -112,6 +113,109 @@ def get_bruteforce_dist(family: str, n: int):
     return codeword_weight_distribution(get_ctx(n), get_pair(family, n))
 
 
+def span(basis: list[int]) -> list[int]:
+    """All 2^len(basis) GF(2) combinations of the basis vectors, sorted."""
+    out = [0]
+    for b in basis:
+        out += [v ^ b for v in out]
+    return sorted(out)
+
+
+def eval_matrix(lmap: LinearizedMap, u: int) -> int:
+    """The GF(2) matrix-vector product of lmap's columns with u."""
+    acc = 0
+    j = 0
+    while u:
+        if u & 1:
+            acc ^= lmap.cols[j]
+        u >>= 1
+        j += 1
+    return acc
+
+
+def kernel_of(lmap: LinearizedMap) -> list[int]:
+    """All 2^s kernel elements, sorted; always contains 0."""
+    return span(lmap.kernel_basis())
+
+
+def kasami_map(ctx, k: int, a: int, b: int, c: int) -> LinearizedMap:
+    """The six-term L(u) for the substituted kasami5 transform."""
+    if a == 0 and b == 0 and c == 0:
+        raise ValueError("at least one of a, b, c must be nonzero")
+    terms = _kasami_terms(ctx.frobenius, k, a, b, c)
+    return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
+
+
+def kasami_quadratic(ctx, k: int, a: int, b: int, c: int, u: int) -> int:
+    """Q(u) = a*u^(2^k+1) + b*u^(2^(3k)+1) + c*u^(2^(5k)+1)."""
+    out = 0
+    for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
+        if coeff:
+            out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, shift), u))
+    return out
+
+
+def gold_quadratic(ctx, t: int, k: int, a: int, b: int, c: int, u: int) -> int:
+    """Q(u) = a*u + b*u^(2^k+1) + c*u^(2^(tk)+1)."""
+    out = ctx.mul(a, u)
+    for coeff, shift in ((b, k), (c, t * k)):
+        if coeff:
+            out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, shift), u))
+    return out
+
+
+def kasami_g_form(ctx, k: int, a: int, b: int, c: int, u: int) -> int:
+    """The nine-term companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u)."""
+    coeffs = (a, b, c)
+    out = 0
+    for which, cf, s1, s2 in _G_TERMS:
+        base = coeffs[which]
+        if base == 0:
+            continue
+        coeff = ctx.frobenius(base, cf * k)
+        out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, s1 * k), ctx.frobenius(u, s2 * k)))
+    return out
+
+
+def quadratic_pair_identity(ctx, form, u: int, v: int) -> int:
+    """(u+v)*(v*G(u) + u*G(v)) + u*v*G(u+v) for a quadratic form G.
+
+    Zero whenever G vanishes on u, v and u+v; in general it equals the
+    cross-term sum kasami_identity_residual for the kasami G.
+    """
+    gu, gv, guv = form(u), form(v), form(u ^ v)
+    left = ctx.mul(u ^ v, ctx.mul(v, gu) ^ ctx.mul(u, gv))
+    return left ^ ctx.mul(ctx.mul(u, v), guv)
+
+
+def kasami_identity_residual(ctx, k: int, a: int, b: int, c: int, u: int, v: int) -> int:
+    """sum of coeff * (u^(2^s1) v + u v^(2^s1)) * (u^(2^s2) v + u v^(2^s2))
+    over the mixed-shift terms of G.  Terms with s2 = 0 contribute nothing,
+    which is why a drops out of the polarized equation."""
+    coeffs = (a, b, c)
+    out = 0
+    for which, cf, s1, s2 in _G_TERMS:
+        if s2 == 0:
+            continue
+        base = coeffs[which]
+        if base == 0:
+            continue
+        coeff = ctx.frobenius(base, cf * k)
+        f1 = ctx.mul(ctx.frobenius(u, s1 * k), v) ^ ctx.mul(u, ctx.frobenius(v, s1 * k))
+        f2 = ctx.mul(ctx.frobenius(u, s2 * k), v) ^ ctx.mul(u, ctx.frobenius(v, s2 * k))
+        out ^= ctx.mul(coeff, ctx.mul(f1, f2))
+    return out
+
+
+def column_syndrome(pair, x: int) -> Syndrome:
+    return Syndrome(x, pair.f_table[x], pair.g_table[x])
+
+
+def extract_message(gen, word: int) -> int:
+    """Read the message bits back off the systematic columns."""
+    return to_int(to_bits(word, gen.length)[gen.message_cols])
+
+
 def loop_field_tables(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FieldCtx's exp and log arrays, built one _mul_raw step at a time,
     and the trace table summed from them: Tr(g^i) = sum over k of g^(i 2^k)."""
@@ -173,7 +277,7 @@ def loop_transform(ctx, pair, a: int, b: int, c: int) -> int:
     """F(a, b, c) as a Python loop over x with scalar field arithmetic."""
     f = pair.f_table
     g = pair.g_table
-    return sum(1 - 2 * ctx.trace(ctx.mul(a, x) ^ ctx.mul(b, f[x]) ^ ctx.mul(c, g[x]))
+    return sum(1 - 2 * int(ctx.trace_table[ctx.mul(a, x) ^ ctx.mul(b, f[x]) ^ ctx.mul(c, g[x])])
                for x in range(ctx.order))
 
 
@@ -290,7 +394,7 @@ def scalar_kasami_triple(ctx, pair, k: int, a: int, b: int, c: int):
     lmap = kasami_map(ctx, k, a, b, c)
     kern = kernel_of(lmap)
     s = len(kern).bit_length() - 1
-    s0 = sum(1 for u in kern if ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
+    s0 = sum(1 for u in kern if int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, u)]) == 0)
     s1 = len(kern) - s0
     fw = transform_single(ctx, pair, a, b, c)
 
@@ -301,7 +405,7 @@ def scalar_kasami_triple(ctx, pair, k: int, a: int, b: int, c: int):
     for u in kern:
         g = kasami_g_form(ctx, k, a, b, c, u)
         ok &= g in (0, 1)
-        ok &= (g == 0) == (ctx.trace(kasami_quadratic(ctx, k, a, b, c, u)) == 0)
+        ok &= (g == 0) == (int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, u)]) == 0)
         ok &= ctx.mul(u, lmap.eval_formula(u)) == g ^ ctx.frobenius(g, -k)
     return KernelReport(a, b, c, s, kern, s0, s1, fw, ok), ok
 
@@ -319,7 +423,8 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
     for _ in range(32):
         a = rng.randrange(order)
         b, c = rng.randrange(1, order), rng.randrange(1, order)
-        total = sum(1 - 2 * ctx.trace(kasami_quadratic(ctx, k, a, b, c, x)) for x in range(order))
+        total = sum(1 - 2 * int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, x)])
+                    for x in range(order))
         if total != transform_single(ctx, pair, a, b, c):
             substitution_ok = False
             break

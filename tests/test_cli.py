@@ -74,6 +74,22 @@ def test_kernel_kasami_reports(capsys):
     assert all(r["consistent"] for r in payload["reports"])
 
 
+@pytest.mark.parametrize("command", [["verify"], ["kernel", "--samples", "10"]])
+def test_huge_k_runs_as_k_mod_n(capsys, command):
+    # every 2^(jk) is taken mod 2^n - 1 as it is formed, so k near 10^12
+    # costs what k mod n does and prints the same apart from "k"
+    big = 10**12 + 1  # = 2 mod 7
+    payloads = []
+    for k in (big, big % 7):
+        code, out = run_cli(capsys, command[0], "kasami5", "--n", "7", "--k", str(k),
+                            *command[1:], "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("k") == k
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_kernel_rejects_th(capsys):
     code, out = run_cli(capsys, "kernel", "th", "--n", "5", "--format", "json")
     assert code == 2

@@ -16,7 +16,6 @@ from tecc import (
     codeword_weight_distribution,
     dual_weights_from_spectrum,
     encode,
-    extract_message,
     instantiate,
     min_distance_bruteforce,
     power_table,
@@ -29,6 +28,7 @@ from tecc.decoder import syndrome_of
 
 from helpers import (
     FAMILIES,
+    extract_message,
     get_ctx,
     get_generator,
     get_generator_rows,

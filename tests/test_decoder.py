@@ -11,7 +11,6 @@ from tecc import (
     Syndrome,
     build_pair_index,
     build_parity_check,
-    column_syndrome,
     decode,
     encode,
     monomial_pair,
@@ -20,6 +19,7 @@ from tecc import (
 
 from helpers import (
     FAMILIES,
+    column_syndrome,
     dict_decode,
     dict_pair_index,
     get_ctx,

@@ -87,6 +87,15 @@ def test_exponent_reduction_large_parameter():
     assert pair.d1 == raw1 % 31 and pair.d2 == raw2 % 31
 
 
+def test_exponents_of_a_huge_parameter():
+    # 2^(jk) mod 2^n - 1 depends on k mod n alone, and is formed without 2^k
+    big = 10**12 + 1  # = 2 mod 7
+    for family in ("gold2", "gold3", "kasami5"):
+        exps = family_exponents(FamilySpec(family, big), 7)
+        assert exps == family_exponents(FamilySpec(family, 2), 7)
+        assert all(0 < d < 127 for d in exps)
+
+
 def test_tables_match_pow_and_fix_zero():
     ctx = get_ctx(5)
     pair = get_pair("gold2", 5)

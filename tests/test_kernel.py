@@ -1,31 +1,33 @@
 """Linearized maps, kernel extraction, and the per-family kernel scans."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from tecc import (
+    GoldKernelSummary,
     LinearizedMap,
     MonomialPair,
     gold_kernel_scan,
     gold_map,
-    kasami_g_form,
     kasami_kernel_scan,
-    kasami_map,
-    kernel_of,
     power_table,
     transform_single,
 )
-from tecc.kernel import (
-    gold_quadratic,
-    kasami_identity_residual,
-    kasami_quadratic,
-    quadratic_pair_identity,
-)
+from tecc import spectrum
 
 from helpers import (
+    eval_matrix,
     get_ctx,
     get_pair,
+    gold_quadratic,
+    kasami_g_form,
+    kasami_identity_residual,
+    kasami_map,
+    kasami_quadratic,
+    kernel_of,
+    quadratic_pair_identity,
     scalar_gold_kernel_scan,
     scalar_kasami_kernel_scan,
     scalar_kasami_triple,
@@ -35,6 +37,7 @@ from helpers import (
 # exhaustive scan; identical for gold2 and gold3 at these sizes.
 GOLD_N5_S_COUNTS = {1: 806, 3: 155}
 GOLD_N7_S_COUNTS = {1: 13462, 3: 2667}
+GOLD_N9_S_COUNTS = {1: 217686, 3: 43435}
 
 
 def test_identity_map_kernel():
@@ -71,7 +74,7 @@ def test_map_linearity_and_matrix_agreement():
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
         lmap = gold_map(ctx, 3, 1, b, c)
         for u in range(32):
-            assert lmap.eval_matrix(u) == lmap.eval_formula(u)
+            assert eval_matrix(lmap, u) == lmap.eval_formula(u)
         for _ in range(50):
             u, v = rng.randrange(32), rng.randrange(32)
             assert lmap.eval_formula(u ^ v) == lmap.eval_formula(u) ^ lmap.eval_formula(v)
@@ -84,7 +87,7 @@ def test_kasami_map_matrix_agreement():
         a, b, c = rng.randrange(128), rng.randrange(1, 128), rng.randrange(1, 128)
         lmap = kasami_map(ctx, 1, a, b, c)
         for u in range(128):
-            assert lmap.eval_matrix(u) == lmap.eval_formula(u)
+            assert eval_matrix(lmap, u) == lmap.eval_formula(u)
 
 
 def test_all_zero_coefficients_rejected():
@@ -109,6 +112,22 @@ def test_gold3_kernel_bound_n5():
     assert summary.max_s <= 3
     assert summary.s_counts == GOLD_N5_S_COUNTS
     assert summary.all_consistent
+
+
+def test_gold_scan_streams_its_rows(monkeypatch):
+    # only the count of each s is kept, and each b's c rows come in batches:
+    # 32 rows of 512 cells at a time peak far below the 2 MiB that s at all
+    # 511^2 pairs alone would take
+    ctx, pair = get_ctx(9), get_pair("gold2", 9)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 14)
+    tracemalloc.start()
+    try:
+        summary = gold_kernel_scan(ctx, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary == GoldKernelSummary("gold2", 9, 1, 2, 511 * 511, 3, GOLD_N9_S_COUNTS, True, [])
+    assert peak < 1 << 20
 
 
 def test_gold_scan_requires_gold_family():
@@ -140,7 +159,8 @@ def test_gold_quadratic_square_identity():
         a = rng.randrange(32)
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
         kern = kernel_of(gold_map(ctx, 3, 1, b, c))
-        char_sum = sum(1 - 2 * ctx.trace(gold_quadratic(ctx, 3, 1, a, b, c, u)) for u in kern)
+        char_sum = sum(1 - 2 * int(ctx.trace_table[gold_quadratic(ctx, 3, 1, a, b, c, u)])
+                       for u in kern)
         fw = transform_single(ctx, pair, a, b, c)
         assert fw * fw == 32 * char_sum
 
@@ -192,7 +212,7 @@ def test_g_form_flags_kernel_membership():
             g = kasami_g_form(ctx, 1, a, b, c, u)
             assert (g in (0, 1)) == (u in kern)
             if u in kern:
-                tr_q = ctx.trace(kasami_quadratic(ctx, 1, a, b, c, u))
+                tr_q = int(ctx.trace_table[kasami_quadratic(ctx, 1, a, b, c, u)])
                 assert (g == 0) == (tr_q == 0)
 
 

@@ -1,0 +1,47 @@
+"""The library holds only code that runs, and the README's example runs.
+
+A function that only the tests call is a test oracle and lives in
+`tests/helpers.py`; the README's `Library` block is run as written, so a
+cut in the public API cannot leave it stale.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tecc"
+
+
+def test_every_library_definition_is_named_elsewhere():
+    # every function, class and method in src/tecc (dunders and __init__.py
+    # aside) is named, as a whole word, somewhere in src/tecc or bench/*.py
+    # besides its own definition
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    defs = [
+        (path.name, node.lineno, node.name)
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert len(defs) > 50
+    corpus = "\n".join(p.read_text() for p in modules + sorted((ROOT / "bench").glob("*.py")))
+    times_defined = Counter(name for _, _, name in defs)
+    unnamed = [
+        f"{module}:{line} {name}" for module, line, name in defs
+        if len(re.findall(rf"\b{name}\b", corpus)) <= times_defined[name]
+    ]
+    assert unnamed == []
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.S | re.M).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["report"].five_valued
+    assert (scope["rank"], scope["dim"]) == (21, 106)
+    assert scope["result"].status == "corrected"
+    assert scope["result"].corrected_word == scope["encode"](scope["gen"], 12345)

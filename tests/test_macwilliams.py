@@ -11,7 +11,7 @@ from tecc import (
     macwilliams_transform,
     verify_distance7,
 )
-from tecc.gf2 import row_reduce, span
+from tecc.gf2 import row_reduce
 
 from helpers import (
     FAMILIES,
@@ -21,6 +21,7 @@ from helpers import (
     get_code_dist,
     get_dual,
     krawtchouk_direct,
+    span,
 )
 
 
