@@ -161,21 +161,17 @@ def encode(gen: SystematicGenerator, message: int) -> int:
 
 
 def codeword_weight_distribution(ctx: FieldCtx, pair: MonomialPair) -> WeightDistribution:
-    """Exhaustive weight count over all codewords.  n = 5 only (2^16 words)."""
+    """Weights of all 2^16 codewords (n = 5 only), built by doubling over the unit encodings."""
     if ctx.n != 5:
         raise ValueError("exhaustive enumeration is limited to n = 5")
     H = build_parity_check(ctx, pair)
     rank_and_dimension(H)
     gen = systematic_generator(H)
-    units = [encode(gen, 1 << i) for i in range(gen.dimension)]
-    coeffs = [0] * (H.ncols + 1)
-    coeffs[0] = 1
-    word = 0
-    # Gray-code walk: consecutive messages differ in one unit message.
-    for m in range(1, 1 << gen.dimension):
-        word ^= units[(m & -m).bit_length() - 1]
-        coeffs[word.bit_count()] += 1
-    return WeightDistribution(H.ncols, coeffs)
+    words = np.zeros(1 << gen.dimension, dtype=np.uint32)
+    for i in range(gen.dimension):
+        words[1 << i:2 << i] = words[:1 << i] ^ encode(gen, 1 << i)
+    coeffs = np.bincount(np.bitwise_count(words), minlength=H.ncols + 1)
+    return WeightDistribution(H.ncols, coeffs.tolist())
 
 
 def min_distance_bruteforce(ctx: FieldCtx, pair: MonomialPair) -> int:
@@ -187,19 +183,22 @@ def weight3_syndromes_distinct(ctx: FieldCtx, pair: MonomialPair) -> bool:
     """True iff all error patterns of weight <= 3 have distinct syndromes.
 
     Equivalent to minimum distance >= 7, independently of any transform
-    computation.  Columns are packed as 3n-bit ints (x, f, g blocks, LSB
-    first); every pattern's syndrome is built by index arithmetic and the
-    sorted syndromes must not repeat.  Kept to n <= 7 (C(127,3) patterns).
+    computation.  Columns are packed as 3n-bit int32 (x, f, g blocks, LSB
+    first, at most 21 bits); every pattern's syndrome is built by index
+    arithmetic and the sorted syndromes must not repeat.  Kept to n <= 7
+    (C(127,3) patterns).
     """
     if ctx.n > 7:
         raise ValueError("triple syndrome scan is limited to n <= 7")
     n = ctx.n
-    cols = np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)
-    i, j = np.triu_indices(cols.size, 1)
+    cols = (np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)).astype(np.int32)
+    i, j = (idx.astype(np.int32) for idx in np.triu_indices(cols.size, 1))
     pairs = cols[i] ^ cols[j]
     # pair (i, j) extends to the triples (i, j, l) with j < l
     reps = cols.size - 1 - j
-    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    triples = np.repeat(pairs, reps) ^ cols[np.repeat(j + 1, reps) + offset]
-    syndromes = np.sort(np.concatenate(([0], cols, pairs, triples)))
+    syndromes = np.concatenate((np.zeros(1, np.int32), cols, pairs, np.repeat(pairs, reps)))
+    third = np.repeat(j + 1 - (np.cumsum(reps, dtype=np.int32) - reps), reps)
+    third += np.arange(third.size, dtype=np.int32)
+    syndromes[syndromes.size - third.size:] ^= cols[third]
+    syndromes.sort()
     return bool((syndromes[1:] != syndromes[:-1]).all())

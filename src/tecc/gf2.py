@@ -35,19 +35,18 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[int, list[int], list[int]]:
 def rank_array(rows, ncols: int) -> np.ndarray:
     """GF(2) rank of every matrix in a batch, by array Gaussian elimination.
 
-    rows[i] holds the row bitmasks of matrix i, shape (batch, rows).  For
-    each column the first row holding it is xored into every row holding
-    it, itself included, which takes the pivot row out of the matrix.
+    rows[i] holds the row bitmasks (at most 31 bits) of matrix i.  For each
+    column the first row holding it is xored into every row holding it,
+    itself included, which takes the pivot row out of the matrix.
     """
-    work = np.array(rows, dtype=np.int64)
-    batch = np.arange(work.shape[0])
+    work = np.array(rows, dtype=np.int32)
+    starts = np.arange(0, work.size, work.shape[1])  # each matrix's offset in work.ravel()
     rank = np.zeros(work.shape[0], dtype=np.int64)
     for col in range(ncols):
-        has = ((work >> col) & 1).astype(bool)
-        pivot = has.argmax(axis=1)
-        found = has[batch, pivot]
-        work ^= np.where(has, work[batch, pivot][:, None], 0)
-        rank += found
+        has = (work >> col) & 1
+        pivot = starts + has.argmax(axis=1)
+        work ^= has * work.ravel()[pivot][:, None]
+        rank += has.ravel()[pivot]
     return rank
 
 

@@ -21,7 +21,12 @@ companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u) detects membership:
 u is in K iff G(u) is 0 or 1, and in S0 iff G(u) = 0.
 
 Everything here verifies those identities numerically via exact GF(2)
-linear algebra; nothing is proven symbolically.
+linear algebra; nothing is proven symbolically.  The kasami5 scan evaluates
+L at every u, to check |K| against the rank of L's columns, but Tr Q and G
+only on K, where its checks read them.  On K, u*L(u) = 0, so the functional
+equation reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which
+G in {0, 1} requires.  Off K, test_g_form_functional_equation and
+test_g_form_flags_kernel_membership pin the equation and G's membership test.
 """
 
 from __future__ import annotations
@@ -263,41 +268,38 @@ class KasamiKernelSummary:
 
 
 def _kasami_q_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """Q(u) at every point of us, one row per (a, b, c) of the batch."""
+    """Q(u) at every point of us, with a, b, c scalars or arrays of its shape."""
     q = 0
     for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
-        uu = ctx.mul_array(ctx.frobenius_array(us, shift), us)
-        q = q ^ ctx.mul_array(np.asarray(coeff)[..., None], uu)
+        q = q ^ ctx.mul_array(coeff, ctx.pow_array(us, (1 << shift % ctx.n) + 1))
     return q
 
 
 def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """G(u) at every point of us, one row per (a, b, c) of the batch."""
-    coeffs = (a, b, c)
+    """G(u) at every point of us, with a, b, c arrays of its shape."""
     g = 0
     for which, cf, s1, s2 in _G_TERMS:
-        coeff = ctx.frobenius_array(coeffs[which], cf * k)
-        uu = ctx.mul_array(ctx.frobenius_array(us, s1 * k), ctx.frobenius_array(us, s2 * k))
-        g = g ^ ctx.mul_array(coeff[..., None], uu)
+        uu = ctx.pow_array(us, (1 << s1 * k % ctx.n) + (1 << s2 * k % ctx.n))
+        g = g ^ ctx.mul_array(ctx.frobenius_array((a, b, c)[which], cf * k), uu)
     return g
 
 
 def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
-    """Every per-triple identity check for a batch of (a, b, c) arrays.
+    """Every per-triple identity check for a batch of (a, b, c) arrays, with
+    Tr Q and G at the kernel cells (triple, u in K) only.
 
-    Returns (s, kernel mask over u, S0 sizes, S1 sizes, Fw, consistent),
-    one entry or row per triple.
+    Returns (s, the kernel elements of all triples in turn, |K|, S0 sizes,
+    S1 sizes, Fw, consistent), one entry per triple but the second.
     """
-    us = np.arange(ctx.order)
-    lvals = _eval_terms(ctx, _kasami_terms(ctx.frobenius_array, k, a, b, c), us)
+    lvals = _eval_terms(ctx, _kasami_terms(ctx.frobenius_array, k, a, b, c), np.arange(ctx.order))
     s = ctx.n - gf2.rank_array(lvals[:, 1 << np.arange(ctx.n)], ctx.n)
-    in_kernel = lvals == 0
-    size = in_kernel.sum(axis=1)
-    tr_zero = ctx.trace_table[_kasami_q_array(ctx, k, a, b, c, us)] == 0
-    s0 = (in_kernel & tr_zero).sum(axis=1)
+    rows, us = np.nonzero(lvals == 0)
+    size = np.bincount(rows, minlength=len(a))
+    tr_zero = ctx.trace_table[_kasami_q_array(ctx, k, a[rows], b[rows], c[rows], us)] == 0
+    s0 = np.bincount(rows[tr_zero], minlength=len(a))
     s1 = size - s0
     fw = transform_single(ctx, pair, a, b, c)
-    g = _kasami_g_array(ctx, k, a, b, c, us)
+    g = _kasami_g_array(ctx, k, a[rows], b[rows], c[rows], us)
 
     ok = size == 1 << s
     ok &= fw * fw == ctx.order * (s0 - s1)
@@ -305,9 +307,8 @@ def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
     ok &= (fw == 0) | ((s1 == 0) & ((s0 == 2) | (s0 == 8)))
     # G detects kernel membership and the S0 split.
     g_ok = ((g == 0) | (g == 1)) & ((g == 0) == tr_zero)
-    g_ok &= ctx.mul_array(us, lvals) == g ^ ctx.frobenius_array(g, -k)
-    ok &= (g_ok | ~in_kernel).all(axis=1)
-    return s, in_kernel, s0, s1, fw, ok
+    ok &= np.bincount(rows[~g_ok], minlength=len(a)) == 0
+    return s, us, size, s0, s1, fw, ok
 
 
 def _triple_chunks(order: int, exhaustive: bool, samples: int, rng: random.Random):
@@ -375,11 +376,12 @@ def kasami_kernel_scan(
     max_s = 0
     checked = 0
     for a, b, c in _triple_chunks(order, exhaustive, samples, rng):
-        s, in_kernel, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        s, kernels, size, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
         keep = len(a) if keep_reports < 0 else min(len(a), keep_reports - len(reports))
-        for i in range(keep):
+        ends = np.cumsum(size[:keep]).tolist()
+        for i, end in enumerate(ends):
             reports.append(KernelReport(
-                int(a[i]), int(b[i]), int(c[i]), int(s[i]), np.flatnonzero(in_kernel[i]).tolist(),
+                int(a[i]), int(b[i]), int(c[i]), int(s[i]), kernels[end - size[i]:end].tolist(),
                 int(s0[i]), int(s1[i]), int(fw[i]), bool(ok[i]),
             ))
         checked += len(a)

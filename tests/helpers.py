@@ -13,6 +13,7 @@ import numpy as np
 from tecc import (
     DecodeResult,
     FamilySpec,
+    MonomialPair,
     NonIntegralResult,
     ParityCheckMatrix,
     Syndrome,
@@ -21,10 +22,12 @@ from tecc import (
     build_parity_check,
     codeword_weight_distribution,
     dual_weights_from_spectrum,
+    encode,
     full_spectrum,
     instantiate,
     macwilliams_transform,
     make_ctx,
+    power_table,
     syndrome_of,
     systematic_generator,
 )
@@ -111,6 +114,28 @@ def get_code_dist(family: str, n: int):
 @lru_cache(maxsize=None)
 def get_bruteforce_dist(family: str, n: int):
     return codeword_weight_distribution(get_ctx(n), get_pair(family, n))
+
+
+def pair_with_g7(family: str):
+    """The family's n = 5 f table paired with g = x^7, under the family label."""
+    ctx = get_ctx(5)
+    pair = get_pair(family, 5)
+    return ctx, MonomialPair(5, pair.d1, 7, pair.f_table, power_table(ctx, 7), family, pair.param)
+
+
+def gray_weight_distribution(ctx, pair) -> WeightDistribution:
+    """codeword_weight_distribution by a Gray-code walk over the messages:
+    consecutive messages differ in one unit message, so each codeword is
+    the previous one xored with one unit encoding."""
+    gen = systematic_generator(build_parity_check(ctx, pair))
+    units = [encode(gen, 1 << i) for i in range(gen.dimension)]
+    coeffs = [0] * (gen.length + 1)
+    coeffs[0] = 1
+    word = 0
+    for m in range(1, 1 << gen.dimension):
+        word ^= units[(m & -m).bit_length() - 1]
+        coeffs[word.bit_count()] += 1
+    return WeightDistribution(gen.length, coeffs)
 
 
 def span(basis: list[int]) -> list[int]:

@@ -35,7 +35,9 @@ from helpers import (
     get_H,
     get_pair,
     get_report,
+    gray_weight_distribution,
     loop_parity_check,
+    pair_with_g7,
     scalar_weight3_syndromes_distinct,
     xor_encode,
 )
@@ -175,6 +177,18 @@ def test_bruteforce_distribution_pinned():
     assert dist.total() == 1 << 16
 
 
+@pytest.mark.parametrize("family, g7_distance", [("gold2", 6), ("gold3", 6), ("th", 7),
+                                                 ("kasami5", 6)])
+def test_array_enumeration_matches_gray_walk(family, g7_distance):
+    ctx = get_ctx(5)
+    pair = get_pair(family, 5)
+    assert codeword_weight_distribution(ctx, pair) == gray_weight_distribution(ctx, pair)
+    _, g7 = pair_with_g7(family)
+    dist = codeword_weight_distribution(ctx, g7)
+    assert dist == gray_weight_distribution(ctx, g7)
+    assert dist.min_nonzero_weight() == min_distance_bruteforce(ctx, g7) == g7_distance
+
+
 def test_bruteforce_rejects_larger_fields():
     with pytest.raises(ValueError):
         min_distance_bruteforce(get_ctx(7), get_pair("gold2", 7))
@@ -206,6 +220,18 @@ def test_weight3_scan_matches_scalar_oracle(n):
     for family in FAMILIES:
         pair = get_pair(family, n)
         assert weight3_syndromes_distinct(ctx, pair) == scalar_weight3_syndromes_distinct(ctx, pair)
+
+
+def test_weight3_scan_peak_memory_n7():
+    # int32 syndromes, sorted in place: 341,504 patterns at n = 7
+    ctx, pair = get_ctx(7), get_pair("kasami5", 7)
+    tracemalloc.start()
+    try:
+        assert weight3_syndromes_distinct(ctx, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_weight3_scan_detects_double_error_bch():

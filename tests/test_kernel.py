@@ -8,14 +8,14 @@ import pytest
 from tecc import (
     GoldKernelSummary,
     LinearizedMap,
-    MonomialPair,
     gold_kernel_scan,
     gold_map,
     kasami_kernel_scan,
-    power_table,
     transform_single,
 )
-from tecc import spectrum
+from tecc import kernel, spectrum
+
+import helpers
 
 from helpers import (
     eval_matrix,
@@ -27,6 +27,7 @@ from helpers import (
     kasami_map,
     kasami_quadratic,
     kernel_of,
+    pair_with_g7,
     quadratic_pair_identity,
     scalar_gold_kernel_scan,
     scalar_kasami_kernel_scan,
@@ -257,13 +258,6 @@ def test_polarization_identity_vanishes_on_solution_triples():
                     seen += 1
 
 
-def _with_g7(family: str):
-    """The family's n = 5 f table paired with g = x^7, under the family label."""
-    ctx = get_ctx(5)
-    pair = get_pair(family, 5)
-    return ctx, MonomialPair(5, pair.d1, 7, pair.f_table, power_table(ctx, 7), family, pair.param)
-
-
 @pytest.mark.parametrize("n", [5, 7])
 @pytest.mark.parametrize("family", ["gold2", "gold3"])
 def test_gold_scan_matches_scalar_oracle(family, n):
@@ -275,7 +269,7 @@ def test_gold_scan_matches_scalar_oracle(family, n):
 
 @pytest.mark.parametrize("family, count", [("gold2", 867), ("gold3", 869)])
 def test_gold_scan_failures_match_scalar_oracle(family, count):
-    ctx, bad = _with_g7(family)
+    ctx, bad = pair_with_g7(family)
     batched = gold_kernel_scan(ctx, bad)
     assert not batched.all_consistent
     assert len(batched.failures) == count
@@ -293,7 +287,7 @@ def test_kasami_scan_matches_scalar_oracle(n, samples, seed):
 
 
 def test_kasami_scan_failures_match_scalar_oracle():
-    ctx, bad = _with_g7("kasami5")
+    ctx, bad = pair_with_g7("kasami5")
     batched = kasami_kernel_scan(ctx, bad, samples=200, seed=1, exhaustive=False,
                                  keep_reports=-1)
     assert not batched.substitution_ok
@@ -309,3 +303,28 @@ def test_kasami_exhaustive_order_and_reports_n5():
     assert triples == [(a, b, c) for b in range(1, 32) for c in range(1, 32) for a in range(32)]
     for rep in summary.reports[::97]:
         assert rep == scalar_kasami_triple(ctx, pair, 1, rep.a, rep.b, rep.c)[0]
+
+
+def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
+    # 2^7 cells make chunks of 4 triples at n = 5, so the kernel cells that
+    # np.nonzero gathers span many chunk boundaries
+    ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    default = kasami_kernel_scan(ctx, pair, keep_reports=-1)
+    monkeypatch.setattr(kernel, "_CHUNK_CELLS", 1 << 7)
+    small = kasami_kernel_scan(ctx, pair, keep_reports=-1)
+    assert small == default
+    assert small.triples_checked == len(small.reports) == 32 * 31 * 31
+    assert small == scalar_kasami_kernel_scan(ctx, pair)
+
+
+def test_kasami_g_check_on_kernel_cells_matches_scalar_oracle(monkeypatch):
+    # G without its a-term breaks G in {0, 1} and the S0 split on part of
+    # K: the kernel-cell check must flag the triples the scalar one flags
+    ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    broken = kernel._G_TERMS[1:]
+    monkeypatch.setattr(kernel, "_G_TERMS", broken)
+    monkeypatch.setattr(helpers, "_G_TERMS", broken)
+    batched = kasami_kernel_scan(ctx, pair, samples=300, seed=4, exhaustive=False,
+                                 keep_reports=-1)
+    assert 0 < len(batched.failures) < 300
+    assert batched == scalar_kasami_kernel_scan(ctx, pair, samples=300, seed=4, exhaustive=False)
