@@ -1,8 +1,10 @@
 """Command-line front end: construct, certify and exercise the codes.
 
 Subcommands: verify, spectrum, kernel, build, distance, macwilliams,
-decode-sim.  Runs are deterministic: one seed per run, forked per subtask
-by a fixed label, so identical configurations give byte-identical output.
+decode-sim.  Each accepts the shared options and only the others it
+reads.  Runs are deterministic: the sampling commands take one seed per
+run, forked per subtask by a fixed label, so identical configurations give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .code import (
     weight3_syndromes_distinct,
 )
 from .decoder import build_pair_index, decode
-from .field import make_ctx
-from .functions import FAMILY_NAMES, ConditionViolated, DegeneratePair, FamilySpec, instantiate, is_apn
+from .field import FieldCtx, make_ctx
+from .functions import (FAMILY_NAMES, ConditionViolated, DegeneratePair, FamilySpec, MonomialPair,
+                        instantiate, is_apn)
 from .kernel import gold_kernel_scan, kasami_kernel_scan
 from .macwilliams import NonIntegralResult, check_length, macwilliams_transform, verify_distance7
 from .spectrum import full_spectrum
@@ -62,16 +65,9 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _spec(config: argparse.Namespace) -> FamilySpec:
-    return FamilySpec(config.family, config.k)
-
-
-def cmd_verify(config: argparse.Namespace) -> int:
+def cmd_verify(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     """Run the whole pipeline and print one verdict per stage."""
-    ctx = make_ctx(config.n)
     stages: list[tuple[str, bool, str]] = []
-
-    pair = instantiate(_spec(config), ctx)
     check_length(ctx.group_order)  # refuse before the scan, not after it
     stages.append(("instantiate", True, f"exponents ({pair.d1}, {pair.d2})"))
 
@@ -126,17 +122,13 @@ def cmd_verify(config: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_spectrum(config: argparse.Namespace) -> int:
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
+def cmd_spectrum(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     report = full_spectrum(ctx, pair)
     _emit(config, report.to_json_dict())
     return 0 if report.five_valued else 1
 
 
-def cmd_kernel(config: argparse.Namespace) -> int:
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
+def cmd_kernel(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     if config.family in ("gold2", "gold3"):
         summary = gold_kernel_scan(ctx, pair, seed=fork_seed(config.seed, "kernel"))
         _emit(config, summary.to_json_dict())
@@ -156,9 +148,7 @@ def cmd_kernel(config: argparse.Namespace) -> int:
     raise ConditionViolated("kernel scans cover the gold2, gold3 and kasami5 families")
 
 
-def cmd_build(config: argparse.Namespace) -> int:
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
+def cmd_build(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     H = build_parity_check(ctx, pair)
     rank, dim = rank_and_dimension(H)
     meta = {"n": config.n, "family": config.family, "k": config.k, "rank": rank, "dim": dim}
@@ -173,11 +163,9 @@ def cmd_build(config: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_distance(config: argparse.Namespace) -> int:
+def cmd_distance(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     if config.n > 7:
         raise ValueError(f"both distance oracles are limited to n <= 7; got n={config.n}")
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
     payload: dict = {"family": config.family, "n": config.n, "k": config.k}
     ok = True
     if config.n == 5:
@@ -191,9 +179,7 @@ def cmd_distance(config: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_macwilliams(config: argparse.Namespace) -> int:
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
+def cmd_macwilliams(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     check_length(ctx.group_order)
     # Every A_w <= 2^(N - 3n), so this bounds the digits of the widest one.
     digits = int((ctx.group_order - 3 * config.n) * math.log10(2)) + 1
@@ -204,25 +190,24 @@ def cmd_macwilliams(config: argparse.Namespace) -> int:
             f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
         )
     report = full_spectrum(ctx, pair)
-    dual = dual_weights_from_spectrum(ctx, pair, report)
+    dual = dual_weights_from_spectrum(ctx, pair, report, build_parity_check(ctx, pair))
     dist = macwilliams_transform(dual, 3 * config.n)
+    ok = verify_distance7(dist)
     payload = {
         "family": config.family,
         "n": config.n,
         "k": config.k,
         "dual_distribution": dual.to_pairs(),
         "code_distribution": dist.to_pairs(),
-        "distance7": verify_distance7(dist),
+        "distance7": ok,
     }
     _emit(config, payload)
-    return 0 if verify_distance7(dist) else 1
+    return 0 if ok else 1
 
 
-def cmd_decode_sim(config: argparse.Namespace) -> int:
+def cmd_decode_sim(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     if config.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {config.trials}")
-    ctx = make_ctx(config.n)
-    pair = instantiate(_spec(config), ctx)
     H = build_parity_check(ctx, pair)
     gen = systematic_generator(H)
     index = build_pair_index(ctx, pair)
@@ -246,14 +231,21 @@ def cmd_decode_sim(config: argparse.Namespace) -> int:
     return 0 if successes == config.trials else 1
 
 
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# name -> (command, the options it reads beyond the shared ones)
 _COMMANDS = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "kernel": cmd_kernel,
-    "build": cmd_build,
-    "distance": cmd_distance,
-    "macwilliams": cmd_macwilliams,
-    "decode-sim": cmd_decode_sim,
+    "verify": (cmd_verify, ()),
+    "spectrum": (cmd_spectrum, ()),
+    "kernel": (cmd_kernel, (_SEED, ("--samples", {"type": int, "default": 10_000}))),
+    "build": (cmd_build, ()),
+    "distance": (cmd_distance, ()),
+    "macwilliams": (cmd_macwilliams, ()),
+    "decode-sim": (cmd_decode_sim, (
+        _SEED,
+        ("--trials", {"type": int, "default": 1000}),
+        ("--errors", {"type": int, "default": 3, "choices": (0, 1, 2, 3)}),
+    )),
 }
 
 
@@ -274,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="triple-error-correcting codes from power-function pairs over GF(2^n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("family_pos", nargs="?", metavar="FAMILY",
                        help="family name (alternative to --family)")
@@ -282,17 +274,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="field degree (odd, 5..17)")
         p.add_argument("--k", type=int, help="family parameter k (default 1)")
         p.add_argument("--t", type=int, help="parameter t for family th (default (n-1)/2)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--errors", type=int, default=3, choices=(0, 1, 2, 3))
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--out")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> None:
     """Settle the family name and the family parameter k in place."""
+    if args.family is not None and args.family_pos is not None:
+        raise ValueError("give the family either as FAMILY or as --family, not both")
     args.family = (args.family or args.family_pos or "").lower()
     if not args.family:
         raise ValueError("a family is required (positional or --family)")
@@ -308,7 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _config_from_args(args)
-        status = _COMMANDS[args.command](args)
+        ctx = make_ctx(args.n)
+        pair = instantiate(FamilySpec(args.family, args.k), ctx)
+        status = _COMMANDS[args.command][0](args, ctx, pair)
         sys.stdout.flush()  # a reader that has gone away shows up here, not at exit
         return status
     except BrokenPipeError:

@@ -33,8 +33,6 @@ class ParityCheckMatrix:
     n: int
     ncols: int
     rows: list[int]
-    family: str | None = None
-    param: int | None = None
 
     @cached_property
     def echelon(self) -> tuple[int, list[int], list[int]]:
@@ -56,7 +54,7 @@ def build_parity_check(ctx: FieldCtx, pair: MonomialPair) -> ParityCheckMatrix:
     blocks = np.stack((np.arange(1, ctx.order), pair.f_np[1:], pair.g_np[1:])).astype(np.uint32)
     planes = (blocks[:, None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
     rows = [gf2.to_int(plane) for plane in planes.reshape(3 * n, -1).astype(np.uint8)]
-    return ParityCheckMatrix(n, ctx.order - 1, rows, pair.family, pair.param)
+    return ParityCheckMatrix(n, ctx.order - 1, rows)
 
 
 def rank_and_dimension(H: ParityCheckMatrix) -> tuple[int, int]:
@@ -93,16 +91,15 @@ def dual_weights_from_spectrum(
     ctx: FieldCtx,
     pair: MonomialPair,
     report: SpectrumReport,
-    H: ParityCheckMatrix | None = None,
+    H: ParityCheckMatrix,
 ) -> WeightDistribution:
     """Weight distribution of the dual code from transform histograms.
 
-    Requires full rank (dual words correspond bijectively to (a, b, c)
-    triples).  The strata with b = c = 0 and with exactly one of b, c zero
-    are computed here; the b, c nonzero stratum comes from the report.
+    Requires H, the pair's parity-check matrix, at full rank (dual words
+    correspond bijectively to (a, b, c) triples).  The strata with b = c = 0
+    and with exactly one of b, c zero are computed here; the b, c nonzero
+    stratum comes from the report.
     """
-    if H is None:
-        H = build_parity_check(ctx, pair)
     rank_and_dimension(H)
 
     order = ctx.order

@@ -514,7 +514,7 @@ def loop_parity_check(ctx, pair) -> ParityCheckMatrix:
                 rows[n + i] |= bit
             if (gx >> i) & 1:
                 rows[2 * n + i] |= bit
-    return ParityCheckMatrix(n, ctx.order - 1, rows, pair.family, pair.param)
+    return ParityCheckMatrix(n, ctx.order - 1, rows)
 
 
 def xor_encode(rows: list[int], message: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,21 @@ from pathlib import Path
 import pytest
 
 from tecc.cli import fork_seed, main
+
+# The options each command reads besides FAMILY and the shared ones.
+SHARED_OPTIONS = {"--family", "--n", "--k", "--t", "--format", "--out"}
+OWN_OPTIONS = {
+    "verify": set(),
+    "spectrum": set(),
+    "kernel": {"--seed", "--samples"},
+    "build": set(),
+    "distance": set(),
+    "macwilliams": set(),
+    "decode-sim": {"--seed", "--trials", "--errors"},
+}
+UNREAD_OPTIONS = [(command, option) for command, own in OWN_OPTIONS.items()
+                  for option in ("--seed", "--samples", "--trials", "--errors")
+                  if option not in own]
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +158,14 @@ def test_conflicting_k_and_t_rejected(capsys):
     assert code == 2
 
 
+def test_family_given_twice_rejected(capsys):
+    code, out = run_cli(capsys, "spectrum", "gold2", "--family", "th", "--n", "5")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ValueError"
+    assert "--family" in record["message"]
+
+
 def test_json_output_byte_identical(capsys):
     args = ["decode-sim", "gold2", "--n", "5", "--errors", "2",
             "--trials", "100", "--seed", "7", "--format", "json"]
@@ -233,7 +257,8 @@ def test_unwritable_out_path_rejected(tmp_path, capsys):
     (["verify", "gold2", "--n", "five"], "invalid int value"),
     (["verify", "gold2", "--n", "5", "--workers", "2"], "unrecognized arguments"),
     (["decode-sim", "gold2", "--n", "5", "--errors", "5"], "invalid choice"),
-])
+] + [([command, "gold2", "--n", "5", option, "1"], "unrecognized arguments")
+     for command, option in UNREAD_OPTIONS])
 def test_usage_errors_print_json_record(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -252,6 +277,14 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage:")
 
 
+@pytest.mark.parametrize("command", OWN_OPTIONS)
+def test_help_lists_exactly_the_options_read(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z]+", out)) == {"--help"} | SHARED_OPTIONS | OWN_OPTIONS[command]
+
+
 def _cli_env(**extra) -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     return {**os.environ, "PYTHONPATH": str(src), **extra}
@@ -260,8 +293,8 @@ def _cli_env(**extra) -> dict:
 def test_shared_parser_leaks_no_state_between_calls(capsys):
     # one process: a usage error, then --seed 5, then a call with no seed
     calls = [
-        ["verify", "gold2", "--n", "5", "--errors", "7"],
-        ["verify", "th", "--n", "5", "--seed", "5", "--format", "json"],
+        ["decode-sim", "gold2", "--n", "5", "--errors", "7"],
+        ["decode-sim", "th", "--n", "5", "--trials", "20", "--seed", "5", "--format", "json"],
         ["decode-sim", "gold2", "--n", "5", "--trials", "20", "--format", "json"],
     ]
     in_process = []
@@ -278,6 +311,7 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
                               capture_output=True, text=True, timeout=120)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
+    assert json.loads(in_process[1][1])["seed"] == 5
     assert json.loads(in_process[2][1])["seed"] == 0
 
 

@@ -31,6 +31,22 @@ def command_lines() -> list[str]:
               for family in ("gold2", "gold3", "kasami5") for n in NS]
     lines += [f"decode-sim {family} --n {n} --errors 3 --format json"
               for family in ("gold2", "kasami5") for n in NS]
+    lines += [f"{command} {family} --n 5 --format {fmt}"
+              for command in ("verify", "spectrum", "macwilliams", "distance")
+              for family in FAMILIES for fmt in ("table", "csv")]
+    lines += [
+        "build gold2 --n 5",
+        "build gold2 --n 5 --format json",
+        "kernel gold2 --n 5 --seed 3",
+        "kernel kasami5 --n 7 --seed 3 --samples 200",
+        "decode-sim gold2 --n 5 --seed 7 --trials 50 --errors 2",
+        # refusals, each for one fault
+        "distance gold2 --n 9",
+        "decode-sim gold2 --n 5 --trials 0",
+        "verify gold2 --n 17",
+        "macwilliams gold2 --n 15",
+        "verify gold2 --n 9 --k 3",
+    ]
     return lines
 
 

@@ -305,6 +305,17 @@ def test_kasami_exhaustive_order_and_reports_n5():
         assert rep == scalar_kasami_triple(ctx, pair, 1, rep.a, rep.b, rep.c)[0]
 
 
+def test_kasami_scan_flags_a_kernel_size_off_its_rank(monkeypatch):
+    # a rank one short makes 2^s twice |K| for every triple; only the check
+    # of the zero count of L against the rank of its columns can see it
+    rank_array = kernel.gf2.rank_array
+    monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
+    summary = kasami_kernel_scan(get_ctx(5), get_pair("kasami5", 5))
+    assert not summary.all_consistent
+    assert summary.failures == [(a, b, c) for b in range(1, 32) for c in range(1, 32)
+                                for a in range(32)]
+
+
 def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
     # 2^7 cells make chunks of 4 triples at n = 5, so the kernel cells that
     # np.nonzero gathers span many chunk boundaries
