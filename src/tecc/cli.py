@@ -65,54 +65,60 @@ def _flat(v) -> str:
     return str(v)
 
 
+def _certify(ctx: FieldCtx, pair: MonomialPair,
+             printed: bool = False) -> tuple[dict, tuple | None, Exception | None]:
+    """The paper's chain to d = 7: records {stage: (pass, detail)}, then the
+    (dual, code) distributions or the RankDefect/NonIntegralResult of the
+    stage that failed.  Before the scan it refuses a length the transform
+    refuses and, when the distributions are `printed`, too many digits."""
+    check_length(ctx.group_order)
+    if printed:
+        # Every A_w <= 2^(N - 3n), so this bounds the digits of the widest one.
+        digits = int((ctx.group_order - 3 * ctx.n) * math.log10(2)) + 1
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < digits:
+            raise ValueError(
+                f"the code distribution's coefficients reach up to {digits} digits, beyond the "
+                f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
+            )
+    stages = {"instantiate": (True, f"exponents ({pair.d1}, {pair.d2})")}
+    apn = is_apn(ctx, pair.f_table)
+    stages["apn"] = (apn, f"x^{pair.d1} differential uniformity <= 2: {apn}")
+    report = full_spectrum(ctx, pair)
+    stages["five_valued"] = (report.five_valued,
+                             f"support {sorted(report.histogram)} witness {report.witness}")
+    H = build_parity_check(ctx, pair)
+    try:
+        rank, dim = rank_and_dimension(H)  # raises unless rank = 3n
+        stages["parameters"] = (True, f"rank {rank}, dimension {dim}")
+        dual = dual_weights_from_spectrum(ctx, pair, report, H)
+        dist = macwilliams_transform(dual, 3 * ctx.n)
+    except RankDefect as exc:
+        stages["parameters"] = (False, str(exc))
+        stages["distance7"] = (False, "skipped (earlier stage failed)")
+        return stages, None, exc
+    except NonIntegralResult as exc:
+        stages["distance7"] = (False, str(exc))
+        return stages, None, exc
+    ok = verify_distance7(dist)
+    stages["distance7"] = (ok, f"A_1..A_6 = 0: {ok}, A_7 = {dist.coeffs[7]}")
+    return stages, (dual, dist), None
+
+
 def cmd_verify(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     """Run the whole pipeline and print one verdict per stage."""
-    stages: list[tuple[str, bool, str]] = []
-    check_length(ctx.group_order)  # refuse before the scan, not after it
-    stages.append(("instantiate", True, f"exponents ({pair.d1}, {pair.d2})"))
-
-    apn = is_apn(ctx, pair.f_table)
-    stages.append(("apn", apn, f"x^{pair.d1} differential uniformity <= 2: {apn}"))
-
-    report = full_spectrum(ctx, pair)
-    stages.append(("five_valued", report.five_valued,
-                   f"support {sorted(report.histogram)} witness {report.witness}"))
-
-    H = build_parity_check(ctx, pair)
-    ok_rank = True
-    try:
-        rank, dim = rank_and_dimension(H)
-        detail = f"rank {rank}, dimension {dim}"
-        expected = (1 << config.n) - 3 * config.n - 1
-        ok_rank = dim == expected
-    except RankDefect as exc:
-        rank, dim = 0, 0
-        ok_rank, detail = False, str(exc)
-    stages.append(("parameters", ok_rank, detail))
-
-    ok_d7 = False
-    detail = "skipped (earlier stage failed)"
-    if ok_rank:
-        try:
-            dual = dual_weights_from_spectrum(ctx, pair, report, H)
-            dist = macwilliams_transform(dual, 3 * config.n)
-            ok_d7 = verify_distance7(dist)
-            detail = f"A_1..A_6 = 0: {ok_d7}, A_7 = {dist.coeffs[7]}"
-        except NonIntegralResult as exc:
-            detail = str(exc)
-    stages.append(("distance7", ok_d7, detail))
-
-    all_ok = all(ok for _, ok, _ in stages)
+    stages, _, _ = _certify(ctx, pair)
+    all_ok = all(ok for ok, _ in stages.values())
     payload = {
         "family": config.family,
         "n": config.n,
         "k": config.k,
-        "code": f"[{(1 << config.n) - 1},{dim},7]" if all_ok else None,
-        "stages": [{"stage": s, "pass": ok, "detail": d} for s, ok, d in stages],
+        "code": f"[{ctx.group_order},{ctx.group_order - 3 * ctx.n},7]" if all_ok else None,
+        "stages": [{"stage": s, "pass": ok, "detail": d} for s, (ok, d) in stages.items()],
         "pass": all_ok,
     }
     if config.format == "table":
-        for s, ok, d in stages:
+        for s, (ok, d) in stages.items():
             print(f"{'PASS' if ok else 'FAIL'}  {s:12s} {d}")
         print(f"{'PASS' if all_ok else 'FAIL'}  overall      {payload['code'] or ''}")
         if config.out:
@@ -124,7 +130,8 @@ def cmd_verify(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) ->
 
 def cmd_spectrum(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     report = full_spectrum(ctx, pair)
-    _emit(config, report.to_json_dict())
+    _emit(config, {"n": config.n, "family": config.family, "k": config.k,
+                   **report.to_json_dict()})
     return 0 if report.five_valued else 1
 
 
@@ -180,28 +187,19 @@ def cmd_distance(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) 
 
 
 def cmd_macwilliams(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
-    check_length(ctx.group_order)
-    # Every A_w <= 2^(N - 3n), so this bounds the digits of the widest one.
-    digits = int((ctx.group_order - 3 * config.n) * math.log10(2)) + 1
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < digits:
-        raise ValueError(
-            f"the code distribution's coefficients reach up to {digits} digits, beyond the "
-            f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
-        )
-    report = full_spectrum(ctx, pair)
-    dual = dual_weights_from_spectrum(ctx, pair, report, build_parity_check(ctx, pair))
-    dist = macwilliams_transform(dual, 3 * config.n)
-    ok = verify_distance7(dist)
-    payload = {
+    stages, dists, error = _certify(ctx, pair, printed=True)
+    if error is not None:
+        raise error
+    dual, dist = dists
+    ok = stages["distance7"][0]
+    _emit(config, {
         "family": config.family,
         "n": config.n,
         "k": config.k,
         "dual_distribution": dual.to_pairs(),
         "code_distribution": dist.to_pairs(),
         "distance7": ok,
-    }
-    _emit(config, payload)
+    })
     return 0 if ok else 1
 
 
@@ -288,6 +286,8 @@ def _config_from_args(args: argparse.Namespace) -> None:
     args.family = (args.family or args.family_pos or "").lower()
     if not args.family:
         raise ValueError("a family is required (positional or --family)")
+    if args.t is not None and args.family != "th":
+        raise ValueError(f"--t is the parameter of family th; family {args.family} takes --k")
     if args.t is not None and args.k is not None:
         raise ValueError("give either --k or --t, not both")
     if args.k is None:

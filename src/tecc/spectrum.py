@@ -60,21 +60,12 @@ def allowed_values(n: int) -> set[int]:
 class SpectrumReport:
     """Histogram of transform values over all (a, b, c) with b, c nonzero."""
 
-    n: int
     histogram: dict[int, int]
     five_valued: bool
     witness: tuple[int, int, int] | None = None
-    family: str | None = None
-    param: int | None = None
-
-    def total(self) -> int:
-        return sum(self.histogram.values())
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n,
-            "family": self.family,
-            "k": self.param,
             "histogram": [[v, c] for v, c in sorted(self.histogram.items())],
             "five_valued": self.five_valued,
             "witness": list(self.witness) if self.witness else None,
@@ -247,14 +238,7 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
 
     five = set(histogram) <= allowed_values(ctx.n)
     witness = None if five else _find_witness(ctx, pair)
-    return SpectrumReport(
-        n=ctx.n,
-        histogram=histogram,
-        five_valued=five,
-        witness=witness,
-        family=pair.family,
-        param=pair.param,
-    )
+    return SpectrumReport(histogram, five, witness)
 
 
 def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]:

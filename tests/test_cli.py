@@ -158,6 +158,16 @@ def test_conflicting_k_and_t_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["gold2", "gold3", "kasami5"])
+def test_t_refused_outside_th(capsys, family):
+    # --t is th's parameter; on another family it is refused, not read as k
+    code, out = run_cli(capsys, "spectrum", family, "--n", "5", "--t", "2")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ValueError"
+    assert "--t" in record["message"] and family in record["message"]
+
+
 def test_family_given_twice_rejected(capsys):
     code, out = run_cli(capsys, "spectrum", "gold2", "--family", "th", "--n", "5")
     assert code == 2

@@ -1,4 +1,5 @@
-"""The library holds only code that runs, and the README's example runs.
+"""The library holds only code that runs, the CLI runs the certification
+chain from one place, and the README's example runs.
 
 A function that only the tests call is a test oracle and lives in
 `tests/helpers.py`; the README's `Library` block is run as written, so a
@@ -34,6 +35,20 @@ def test_every_library_definition_is_named_elsewhere():
         if len(re.findall(rf"\b{name}\b", corpus)) <= times_defined[name]
     ]
     assert unnamed == []
+
+
+def test_cli_runs_the_certification_chain_from_one_function():
+    # verify and macwilliams share one pipeline: in cli.py the length
+    # refusal and the stages past the rank are each named in one function
+    tree = ast.parse((SRC / "cli.py").read_text())
+    namers = Counter(
+        name
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for name in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    )
+    names = ("check_length", "dual_weights_from_spectrum", "macwilliams_transform",
+             "verify_distance7")
+    assert {name: namers[name] for name in names} == dict.fromkeys(names, 1)
 
 
 def test_readme_library_example_runs():
