@@ -43,12 +43,16 @@ def fork_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _emit(config: argparse.Namespace, payload: dict) -> None:
+def _emit(config: argparse.Namespace, payload: dict, table=None) -> None:
+    """Print the payload in the chosen format, or write it to --out.  table
+    formats the table format, one key/value line per entry by default."""
     if config.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     elif config.format == "csv":
         lines = [f"{k},{_flat(v)}" for k, v in sorted(payload.items())]
         text = "\n".join(lines)
+    elif table is not None:
+        text = table(payload)
     else:
         lines = [f"{k:24s} {_flat(v)}" for k, v in payload.items()]
         text = "\n".join(lines)
@@ -117,15 +121,16 @@ def cmd_verify(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) ->
         "stages": [{"stage": s, "pass": ok, "detail": d} for s, (ok, d) in stages.items()],
         "pass": all_ok,
     }
-    if config.format == "table":
-        for s, (ok, d) in stages.items():
-            print(f"{'PASS' if ok else 'FAIL'}  {s:12s} {d}")
-        print(f"{'PASS' if all_ok else 'FAIL'}  overall      {payload['code'] or ''}")
-        if config.out:
-            _emit(config, payload)
-    else:
-        _emit(config, payload)
+    _emit(config, payload, table=_verdict_table)
     return 0 if all_ok else 1
+
+
+def _verdict_table(payload: dict) -> str:
+    """verify's table: one PASS/FAIL line per stage, then the overall verdict."""
+    lines = [f"{'PASS' if st['pass'] else 'FAIL'}  {st['stage']:12s} {st['detail']}"
+             for st in payload["stages"]]
+    lines.append(f"{'PASS' if payload['pass'] else 'FAIL'}  overall      {payload['code'] or ''}")
+    return "\n".join(lines)
 
 
 def cmd_spectrum(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:

@@ -4,13 +4,17 @@ For a pair {f, g} the transform is
 
     F(a, b, c) = sum over x in GF(2^n) of (-1)^Tr(a*x + b*f(x) + c*g(x))
 
-scanned over all a and all nonzero b, c.  One kernel, `transform_rows`,
-computes every row (b, c) of it that a scan needs:
+scanned over all a and all nonzero b, c.  One kernel computes every row
+(b, c) of it that a scan needs, in two steps that `transform_rows` composes
+for one b and the gold kernel scan (`tecc.kernel`) for blocks of b:
 
-* Signs by bit parity.  Tr(c*y) = parity(lambda(c) & y), where lambda(c) is
-  the n-bit mask with bit j = Tr(c*alpha^j), so the sign row is
-  1 - 2 parity((lambda(b) & f(x)) ^ (lambda(c) & g(x))), built straight
-  into float32.  lambda is computed once per b and c, never per cell.
+* Signs by bit parity, one table at a time.  Tr(c*y) = parity(lambda(c) & y),
+  where lambda(c) is the n-bit mask with bit j = Tr(c*alpha^j), so `_signs`
+  builds the rows (-1)^Tr(c*h(x)) = 1 - 2 parity(lambda(c) & h(x)) of one
+  table h straight into float32, with lambda computed once per coefficient,
+  never per cell.  Since Tr(b*f + c*g) = Tr(b*f) + Tr(c*g), the sign row of
+  (b, c) is the product of the b row of f and the c row of g, so a scan of
+  many (b, c) builds each part once and multiplies.
 * Walsh-Hadamard transform by matrix products.  The Sylvester matrix
   factors as H_(2^n) = H_(2^p) (x) H_(2^q), p = floor(n/2), q = n - p, so a
   row reshaped to X of shape (2^p, 2^q) transforms to H_p X H_q.  The
@@ -19,7 +23,9 @@ computes every row (b, c) of it that a scan needs:
   thread count can round it (the bound is checked).  The products stay
   stacked, one (2^p, 2^q) matrix per row, rather than one 2-D product over
   the whole batch: a large threaded 2-D product was seen to stall for
-  milliseconds in some processes, the stacked form was not.
+  milliseconds in some processes, the stacked form was not.  The second
+  product is written over the sign rows, so a row costs one float32
+  temporary, not two.
 
 The transform pairs x against the plain dot-product functional
 parity(a & x) instead of Tr(a*x); since a -> Tr(a*.) runs over all linear
@@ -97,14 +103,17 @@ def _sylvester(k: int) -> np.ndarray:
 
 def _walsh_hadamard(signs: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of float32 +-1 rows along the last axis, as
-    the stacked products H_p X H_q (see the module docstring)."""
+    the stacked products H_p X H_q (see the module docstring).  The values
+    are int16 up to width 2^13 and int32 above, as they reach +-width.  The
+    second product is written over the rows, so signs is used up."""
     m, width = signs.shape
     if width > _F32_EXACT_WIDTH:
         raise ArithmeticError(f"rows of width {width} leave the exact float32 range")
     n = width.bit_length() - 1
     p = n // 2
     x = signs.reshape(m, 1 << p, 1 << (n - p))
-    return (np.matmul(_sylvester(p), x) @ _sylvester(n - p)).reshape(m, width)
+    np.matmul(np.matmul(_sylvester(p), x), _sylvester(n - p), out=x)
+    return x.reshape(m, width).astype(np.int16 if width < (1 << 15) else np.int32)
 
 
 def _trace_masks(ctx: FieldCtx, cs) -> np.ndarray:
@@ -115,13 +124,10 @@ def _trace_masks(ctx: FieldCtx, cs) -> np.ndarray:
     return (traces * basis).sum(axis=-1).astype(np.uint32)
 
 
-def _sign_rows(ctx: FieldCtx, f_np: np.ndarray, g_np: np.ndarray, b: int, cs) -> np.ndarray:
-    """(-1)^Tr(b*f(x) + c*g(x)) in float32, one row per c in cs, as
-    1 - 2 parity((lambda(b) & f(x)) ^ (lambda(c) & g(x))).  A function of
-    its own so that its temporaries are freed before the transform runs."""
-    masked = _trace_masks(ctx, cs)[:, None] & g_np.astype(np.uint32)
-    masked ^= _trace_masks(ctx, b) & f_np.astype(np.uint32)
-    parity = np.bitwise_count(masked)
+def _signs(ctx: FieldCtx, h_np: np.ndarray, cs) -> np.ndarray:
+    """(-1)^Tr(c*h(x)) in float32, one row per c in cs (a scalar c gives a
+    single row of shape (2^n,)), as 1 - 2 parity(lambda(c) & h(x))."""
+    parity = np.bitwise_count(_trace_masks(ctx, cs)[..., None] & h_np.astype(np.uint32))
     parity &= 1
     signs = parity.astype(np.float32)
     signs *= -2
@@ -138,8 +144,9 @@ def transform_rows(
     docstring).  Values are int16 up to n = 13 and int32 above, so widen
     before squaring.
     """
-    acc = np.int16 if ctx.order < (1 << 15) else np.int32  # sums reach +-2^n
-    return _walsh_hadamard(_sign_rows(ctx, f_np, g_np, b, cs)).astype(acc)
+    signs = _signs(ctx, g_np, cs)
+    signs *= _signs(ctx, f_np, b)
+    return _walsh_hadamard(signs)
 
 
 def spectrum_for_bc(ctx: FieldCtx, pair: MonomialPair, b: int, c: int) -> np.ndarray:

@@ -147,6 +147,18 @@ def test_build_writes_matrix(tmp_path, capsys):
     assert len(lines) == 15 and all(len(l) == 31 for l in lines)
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "macwilliams"])
+def test_out_file_holds_what_stdout_would(tmp_path, capsys, command, fmt):
+    # with --out the command writes to the file what it would have printed,
+    # verify's PASS/FAIL table included, and stdout stays empty
+    argv = [command, "gold2", "--n", "5", "--format", fmt]
+    code, printed = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
+    assert target.read_text() == printed
+
+
 def test_missing_family_is_an_error(capsys):
     code, out = run_cli(capsys, "spectrum", "--n", "5")
     assert code == 2

@@ -131,6 +131,20 @@ def test_gold_scan_streams_its_rows(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_gold_scan_footprint_at_the_benchmark_size():
+    # the default blocks at n = 7 hold 4 values of b against all 127 c
+    # (2^16 cells); blocks of a whole spectrum batch would take about 20 MiB
+    ctx, pair = get_ctx(7), get_pair("gold2", 7)
+    tracemalloc.start()
+    try:
+        summary = gold_kernel_scan(ctx, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.s_counts == GOLD_N7_S_COUNTS and summary.all_consistent
+    assert peak < 2 << 20
+
+
 def test_gold_scan_requires_gold_family():
     with pytest.raises(ValueError):
         gold_kernel_scan(get_ctx(5), get_pair("kasami5", 5))
@@ -274,6 +288,30 @@ def test_gold_scan_failures_match_scalar_oracle(family, count):
     assert not batched.all_consistent
     assert len(batched.failures) == count
     assert batched == scalar_gold_kernel_scan(ctx, bad)
+
+
+@pytest.mark.parametrize("family, count", [("gold2", 867), ("gold3", 869)])
+def test_gold_scan_failures_keep_their_order_across_blocks(monkeypatch, family, count):
+    # c batches of 8 rows and blocks of 8 or 9 values of b at n = 5, so the
+    # failing (b, c) of many blocks are gathered back into (b, c) order
+    ctx, bad = pair_with_g7(family)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 8)
+    monkeypatch.setattr(kernel, "_CHUNK_CELLS", 1 << 11)
+    batched = gold_kernel_scan(ctx, bad)
+    assert len(batched.failures) == count
+    assert batched == scalar_gold_kernel_scan(ctx, bad)
+
+
+def test_gold_scan_flags_nonzero_values_at_even_s(monkeypatch):
+    # a rank one short turns s = 1 and 3 into 2 and 4; every row has some
+    # F != 0 (Parseval), so m = 0 at even s must fail every (b, c), although
+    # |F| = 2^3 = 2^floor((n + 2)/2) on the rows of true s = 1
+    rank_array = kernel.gf2.rank_array
+    monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
+    summary = gold_kernel_scan(get_ctx(5), get_pair("gold2", 5))
+    assert summary.s_counts == {s + 1: count for s, count in GOLD_N5_S_COUNTS.items()}
+    assert summary.failures[:31 * 31] == [(b, c) for b in range(1, 32) for c in range(1, 32)]
+    assert len(summary.failures) == 31 * 31 + kernel._ORACLE_SAMPLES
 
 
 @pytest.mark.parametrize("n, samples, seed", [(5, 400, 2), (7, 1500, 3)])
