@@ -142,13 +142,18 @@ def cmd_spectrum(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) 
 
 def cmd_kernel(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
     if config.family in ("gold2", "gold3"):
+        if config.samples is not None:
+            raise ValueError(f"--samples: the {config.family} scan checks every (b, c)")
         summary = gold_kernel_scan(ctx, pair, seed=fork_seed(config.seed, "kernel"))
         _emit(config, summary.to_json_dict())
         return 0 if summary.all_consistent else 1
     if config.family == "kasami5":
+        # the scan is exhaustive at n = 5 and samples above
+        if config.samples is not None and config.n == 5:
+            raise ValueError("--samples: the kasami5 scan at n = 5 checks every (a, b, c)")
         summary = kasami_kernel_scan(
             ctx, pair,
-            samples=config.samples,
+            samples=10_000 if config.samples is None else config.samples,
             seed=fork_seed(config.seed, "kernel"),
             keep_reports=32,
         )
@@ -240,7 +245,7 @@ _SEED = ("--seed", {"type": int, "default": 0})
 _COMMANDS = {
     "verify": (cmd_verify, ()),
     "spectrum": (cmd_spectrum, ()),
-    "kernel": (cmd_kernel, (_SEED, ("--samples", {"type": int, "default": 10_000}))),
+    "kernel": (cmd_kernel, (_SEED, ("--samples", {"type": int}))),
     "build": (cmd_build, ()),
     "distance": (cmd_distance, ()),
     "macwilliams": (cmd_macwilliams, ()),

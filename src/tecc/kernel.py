@@ -97,6 +97,17 @@ def _kasami_terms(frob, k: int, a, b, c) -> list:
     ]
 
 
+def _draw_triples(rng: random.Random, order: int, count: int) -> tuple[np.ndarray, ...]:
+    """count (a, b, c) with a in L and b, c in L*, as three int64 arrays.
+
+    Each value is the next little-endian 64-bit word of rng.randbytes taken
+    mod 2^n or 2^n - 1 (a bias below 2^(n-64)).  Words are taken in order,
+    so a draw split into chunks equals the same draw made in one call."""
+    words = np.frombuffer(rng.randbytes(24 * count), dtype="<u8").reshape(count, 3)
+    drawn = words % np.uint64([order, order - 1, order - 1]) + np.uint64([0, 1, 1])
+    return tuple(drawn.T.astype(np.int64, order="C"))
+
+
 def gold_map(ctx: FieldCtx, t: int, k: int, b: int, c: int) -> LinearizedMap:
     """The four-term L(u) for the pair {x^(2^k+1), x^(2^(tk)+1)}."""
     if b == 0 and c == 0:
@@ -163,7 +174,6 @@ class GoldKernelSummary:
     family: str
     n: int
     k: int
-    t: int
     pairs_checked: int
     max_s: int
     s_counts: dict[int, int]
@@ -252,10 +262,7 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
             failures += zip(bs[fb].tolist(), cs[fc].tolist())
         del signs  # freed before the next batch's rows are allocated
     failures.sort()
-    rng = random.Random(seed)
-    samples = [(rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
-               for _ in range(_ORACLE_SAMPLES)]
-    a, b, c = np.array(samples).T
+    a, b, c = _draw_triples(random.Random(seed), order, _ORACLE_SAMPLES)
     batched = n - gf2.rank_array(cols_b[b - 1] ^ _gold_cols(ctx, t, k, 0, c), n)
     fws = transform_single(ctx, pair, a, b, c)
     for bi, ci, s_batched, fw in zip(b.tolist(), c.tolist(), batched.tolist(), fws.tolist()):
@@ -267,7 +274,6 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
         family=pair.family,
         n=n,
         k=k,
-        t=t,
         pairs_checked=int(s_freq.sum()),
         max_s=int(s_values[-1]),
         s_counts=dict(zip(s_values.tolist(), s_freq[s_values].tolist())),
@@ -353,21 +359,16 @@ def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
 
 def _triple_chunks(order: int, exhaustive: bool, samples: int, rng: random.Random):
     """(a, b, c) arrays of at most _CHUNK_CELLS / 2^n triples: exhaustive in
-    (b, c, a) order, or drawn from rng one triple at a time."""
+    (b, c, a) order, or drawn from rng, one _draw_triples call per chunk."""
     chunk = max(1, _CHUNK_CELLS // order)
-    if exhaustive:
-        total = order * (order - 1) ** 2
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
+    total = order * (order - 1) ** 2 if exhaustive else samples
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        if exhaustive:
             rest = idx // order
             yield idx % order, 1 + rest // (order - 1), 1 + rest % (order - 1)
-    else:
-        for start in range(0, samples, chunk):
-            drawn = [
-                (rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
-                for _ in range(min(chunk, samples - start))
-            ]
-            yield tuple(np.array(drawn, dtype=np.int64).T)
+        else:
+            yield _draw_triples(rng, order, idx.size)
 
 
 def kasami_kernel_scan(
@@ -399,16 +400,11 @@ def kasami_kernel_scan(
     permutation_ok = len(set(sub.tolist())) == order
 
     # Summing the substituted form Q(x) over all x must reproduce the
-    # transform computed from the original pair tables.
-    substitution_ok = True
-    for _ in range(32):
-        a = rng.randrange(order)
-        b, c = rng.randrange(1, order), rng.randrange(1, order)
-        q = _kasami_q_array(ctx, k, a, b, c, np.arange(order))
-        total = order - 2 * int(ctx.trace_table[q].sum())
-        if total != transform_single(ctx, pair, a, b, c):
-            substitution_ok = False
-            break
+    # transform computed from the original pair tables, on 32 drawn triples.
+    a, b, c = _draw_triples(rng, order, 32)
+    q = _kasami_q_array(ctx, k, a[:, None], b[:, None], c[:, None], np.arange(order))
+    totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
+    substitution_ok = bool((totals == transform_single(ctx, pair, a, b, c)).all())
 
     failures: list[tuple[int, int, int]] = []
     reports: list[KernelReport] = []

@@ -41,6 +41,7 @@ from tecc.kernel import (
     KasamiKernelSummary,
     KernelReport,
     LinearizedMap,
+    _draw_triples,
     _kasami_terms,
     gold_map,
 )
@@ -402,15 +403,12 @@ def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
             if not ok:
                 failures.append((b, c))
             checked += 1
-    for _ in range(_ORACLE_SAMPLES):
-        a = rng.randrange(order)
-        b = rng.randrange(1, order)
-        c = rng.randrange(1, order)
+    for a, b, c in zip(*(x.tolist() for x in _draw_triples(rng, order, _ORACLE_SAMPLES))):
         s = len(gold_map(ctx, t, k, b, c).kernel_basis())
         fw = transform_single(ctx, pair, a, b, c)
         if fw * fw not in (0, 1 << (ctx.n + s)):
             failures.append((b, c))
-    return GoldKernelSummary(pair.family, ctx.n, k, t, checked, max_s, s_counts,
+    return GoldKernelSummary(pair.family, ctx.n, k, checked, max_s, s_counts,
                              not failures, failures)
 
 
@@ -444,21 +442,15 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
         exhaustive = ctx.n == 5
     rng = random.Random(seed)
     permutation_ok = len({ctx.pow(x, (1 << k) + 1) for x in range(order)}) == order
-    substitution_ok = True
-    for _ in range(32):
-        a = rng.randrange(order)
-        b, c = rng.randrange(1, order), rng.randrange(1, order)
-        total = sum(1 - 2 * int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, x)])
-                    for x in range(order))
-        if total != transform_single(ctx, pair, a, b, c):
-            substitution_ok = False
-            break
+    substitution_ok = all(
+        sum(1 - 2 * int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, x)])
+            for x in range(order)) == transform_single(ctx, pair, a, b, c)
+        for a, b, c in zip(*(x.tolist() for x in _draw_triples(rng, order, 32))))
     if exhaustive:
         triples = [(a, b, c) for b in range(1, order) for c in range(1, order)
                    for a in range(order)]
     else:
-        triples = [(rng.randrange(order), rng.randrange(1, order), rng.randrange(1, order))
-                   for _ in range(samples)]
+        triples = list(zip(*(x.tolist() for x in _draw_triples(rng, order, samples))))
     reports = [scalar_kasami_triple(ctx, pair, k, *t)[0] for t in triples]
     failures = [(r.a, r.b, r.c) for r in reports if not r.consistent]
     return KasamiKernelSummary(

@@ -80,8 +80,7 @@ def test_kernel_gold3(capsys):
 
 
 def test_kernel_kasami_reports(capsys):
-    code, out = run_cli(capsys, "kernel", "kasami5", "--n", "5", "--samples", "200",
-                        "--format", "json")
+    code, out = run_cli(capsys, "kernel", "kasami5", "--n", "5", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["permutation_ok"] and payload["substitution_ok"]
@@ -213,6 +212,16 @@ def test_kernel_rejects_empty_sample(capsys, samples):
     code, out = run_cli(capsys, "kernel", "kasami5", "--n", "7", "--samples", samples)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("family, n", [("gold2", 5), ("gold3", 7), ("kasami5", 5)])
+def test_kernel_refuses_samples_where_the_scan_checks_everything(capsys, family, n):
+    # gold2/gold3 check every (b, c), and kasami5 every (a, b, c) at n = 5
+    code, out = run_cli(capsys, "kernel", family, "--n", str(n), "--samples", "5")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ValueError"
+    assert "--samples" in record["message"]
 
 
 def test_distance_beyond_oracle_limit_rejected(capsys):

@@ -6,6 +6,9 @@ so a change that alters any printed byte or exit code fails here.  Rewrite
 the table only for a change whose output is meant to differ:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints each command line whose exit code or digest changed (or that was
+added to or dropped from the table), so the rewrite can be checked.
 """
 
 import contextlib
@@ -68,5 +71,9 @@ def test_cli_stdout_and_exit_codes_match_the_golden_table():
 
 
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps({line: digest(line) for line in command_lines()},
-                                indent=2, sort_keys=True) + "\n")
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    new = {line: digest(line) for line in command_lines()}
+    for line in sorted(old.keys() | new.keys()):
+        if old.get(line) != new.get(line):
+            print(line)
+    TABLE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
