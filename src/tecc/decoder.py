@@ -65,8 +65,8 @@ class PairIndex:
     """Weight-2 syndrome -> unordered position pair (x, y), x < y, for all
     C(2^n - 1, 2) pairs, through the root table of the APN power map h.
 
-    `get`, `in` and `len` behave as on a dict of every pair's syndrome;
-    `triple` completes a weight-3 syndrome.
+    `get` and `len` behave as on a dict of every pair's syndrome; `triple`
+    completes a weight-3 syndrome.
     """
 
     def __init__(self, ctx: FieldCtx, pair: MonomialPair) -> None:
@@ -96,9 +96,6 @@ class PairIndex:
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, syn) -> bool:
-        return self.get(syn) is not None
 
     def get(self, syn) -> tuple[int, int] | None:
         """The pair (x, y), x < y, whose syndrome is syn, else None."""

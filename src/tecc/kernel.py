@@ -21,17 +21,16 @@ companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u) detects membership:
 u is in K iff G(u) is 0 or 1, and in S0 iff G(u) = 0.
 
 Everything here verifies those identities numerically via exact GF(2)
-linear algebra; nothing is proven symbolically.  The gold scan checks every
-(b, c) on two exact splits by coefficient: L_(b,c) = L_(b,0) + L_(0,c),
-so each map's columns are the xor of a b part and a c part, each computed
-once; and Tr(b*f + c*g) = Tr(b*f) + Tr(c*g), so each sign row is the product
-of a b row and a c row of `spectrum._signs`, the sign helper that every
-transform row comes from.  The kasami5 scan evaluates
-L at every u, to check |K| against the rank of L's columns, but Tr Q and G
-only on K, where its checks read them.  On K, u*L(u) = 0, so the functional
-equation reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which
-G in {0, 1} requires.  Off K, test_g_form_functional_equation and
-test_g_form_flags_kernel_membership pin the equation and G's membership test.
+linear algebra; nothing is proven symbolically.  The gold scan reads the
+fold of `spectrum.orbit_rows`: x -> lambda*x and squaring keep both |F| and
+s = dim ker L, so the row b = 1, one c per cyclotomic coset of L*, stands
+for every (b, c); its seeded samples check that invariance rather than
+assume it.  The kasami5 scan evaluates L at every u, to check |K| against
+the rank of L's columns, but Tr Q and G only on K, where its checks read
+them.  On K, u*L(u) = 0, so the functional equation reduces to
+G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1} requires.
+Off K, test_g_form_functional_equation and test_g_form_flags_kernel_membership
+pin the equation and G's membership test.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ import numpy as np
 
 from . import gf2
 from .field import FieldCtx
-from .functions import MonomialPair
-from .spectrum import _batches, _signs, _walsh_hadamard, transform_single
+from .functions import FamilySpec, MonomialPair, family_exponents
+from .spectrum import _batches, coset_leaders, orbit_rows, transform_rows, transform_single
 
-_CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 batch, (b, c, x) per gold block
+_CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 batch
 _ORACLE_SAMPLES = 64  # (a, b, c) the gold scan cross-checks with the scalar oracles
 
 
@@ -169,7 +168,7 @@ class KernelReport:
 
 @dataclass
 class GoldKernelSummary:
-    """Exhaustive (b, c) kernel scan results for a gold2/gold3 pair."""
+    """Kernel scan results over every (b, c) for a gold2/gold3 pair."""
 
     family: str
     n: int
@@ -195,79 +194,61 @@ class GoldKernelSummary:
 
 def _gold_cols(ctx: FieldCtx, t: int, k: int, b, c) -> np.ndarray:
     """The columns L(alpha^j) of the gold map at every (b, c) of the broadcast
-    coefficient arrays, one row of n per (b, c).  L is linear in (b, c), so
-    the columns at (b, c) are those at (b, 0) xor those at (0, c)."""
+    coefficient arrays, one row of n per (b, c)."""
     return _eval_terms(ctx, _gold_terms(ctx.frobenius_array, t, k, b, c), 1 << np.arange(ctx.n))
 
 
-def _gold_rows_ok(ctx: FieldCtx, signs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Whether |F| is 0 or m on each transform row of the float32 sign rows,
-    with m = 2^((n+s)/2) for odd s and 0 for even s.  The transform is
-    written over signs.  A function of its own so that a block's values are
-    freed before the next block's transform runs."""
-    values = _walsh_hadamard(signs.reshape(-1, ctx.order))
-    np.abs(values, out=values)
-    m = np.where(s % 2 == 1, 1 << ((ctx.n + s) // 2), 0).astype(values.dtype)
-    return ((values == 0) | (values == m[:, None])).all(axis=1)
-
-
 def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKernelSummary:
-    """Scan every (b, c) in L* x L* for a gold2/gold3 pair.
+    """Scan every (b, c) in L* x L* for a gold2/gold3 pair through the rows
+    `orbit_rows` folds them onto: b = 1 and one c per cyclotomic coset, each
+    counted by the (b, c) it stands for.
 
-    Each (b, c) gets its own s = dim ker L and its own transform row, checked
-    against the kernel picture: every squared value lies in {0, 2^(n+s)},
-    and s is odd whenever a nonzero value occurs.  As n is odd, that is
-    |F| in {0, m} on the row, with m = 2^((n+s)/2) for odd s and m = 0 for
-    even s, checked at the transform's own int16/int32 width.
+    Each representative's s = dim ker L comes from one array GF(2)
+    elimination per batch, and its transform row from `transform_rows`.
+    Every squared value must lie in {0, 2^(n+s)}, with s odd wherever
+    F != 0: as n is odd, |F| in {0, m} on the row, m = 2^((n+s)/2) at odd
+    s and 0 at even s, at the transform's own int16/int32 width.  Only the
+    count of each s is kept; failing (1, c) come back in ascending c.
 
-    Both halves split by coefficient.  L_(b,c) = L_(b,0) + L_(0,c), so the
-    columns at c = 0 are built once for every b, those at b = 0 once per c
-    batch, and a block's maps are their xors, ranked by one array Gaussian
-    elimination.  Tr(b*f + c*g) = Tr(b*f) + Tr(c*g), so a block's sign rows
-    are the products of the sign rows (-1)^Tr(b*f(x)) of its b and
-    (-1)^Tr(c*g(x)) of the batch's c, the c rows built once per batch.  The
-    c batches are the spectrum scans'; inside each, the b blocks hold at
-    most _CHUNK_CELLS (b, c, x) cells, or one b when a c batch alone is
-    wider, and take turns in one buffer.  Only the count of each s is kept,
-    and the failing (b, c) come back in (b, c) order.
-
-    A random subsample of (a, b, c) is cross-checked: F by one broadcast
-    naive sum, and s from the scan's separable columns against the scalar
-    kernel basis.  Its failures follow the scan's.
+    Seeded samples (a, b, c) check the scan and its fold against the scalar
+    oracles: F by the naive sum, in the same batches, and the scalar s of
+    L_(b,c), which must equal the scan's s at the coset leader of
+    c' = lambda^d2 * c, lambda = b^(-1/d1), the representative that (b, c)
+    folds onto.  Their failures follow the scan's.
     """
     if pair.family not in ("gold2", "gold3"):
         raise ValueError(f"kernel scan expects a gold2 or gold3 pair, got {pair.family}")
     t = 2 if pair.family == "gold2" else 3
     k = pair.param
+    if (pair.d1, pair.d2) != family_exponents(FamilySpec(pair.family, k), ctx.n):
+        # L and the fold both assume these exponents
+        raise ValueError(f"kernel scan expects the exponents of {pair.family} with k = {k}, "
+                         f"got ({pair.d1}, {pair.d2})")
     n = ctx.n
-    order = ctx.order
+    # one row, b = 1, since gcd(2^k + 1, 2^n - 1) = 1 for odd n
+    (_, reps, weights), = orbit_rows(ctx, pair.d1)
 
     failures: list[tuple[int, int]] = []
-    coeffs = np.arange(1, order)  # every b, and every c
-    cols_b = _gold_cols(ctx, t, k, coeffs, 0)
+    s = np.empty_like(reps)
+    for part in _batches(n, reps):
+        cs = reps[part]
+        s[part] = n - gf2.rank_array(_gold_cols(ctx, t, k, 1, cs), n)
+        values = np.abs(transform_rows(ctx, pair.f_np, pair.g_np, 1, cs))
+        m = np.where(s[part] % 2 == 1, 1 << ((n + s[part]) // 2), 0).astype(values.dtype)
+        ok = ((values == 0) | (values == m[:, None])).all(axis=1)
+        failures += [(1, c) for c in cs[~ok].tolist()]
     s_freq = np.zeros(n + 1, dtype=np.int64)  # number of (b, c) with each s
-    for part in _batches(n, coeffs):
-        cs = coeffs[part]
-        cols_c = _gold_cols(ctx, t, k, 0, cs)
-        signs_c = _signs(ctx, pair.g_np, cs)
-        step = max(1, _CHUNK_CELLS // (cs.size * order))
-        signs = np.empty((step, cs.size, order), dtype=np.float32)  # each block's rows in turn
-        for lo in range(0, coeffs.size, step):
-            bs = coeffs[lo:lo + step]
-            s = n - gf2.rank_array((cols_b[lo:lo + step, None] ^ cols_c).reshape(-1, n), n)
-            s_freq += np.bincount(s, minlength=n + 1)
-            np.multiply(_signs(ctx, pair.f_np, bs)[:, None], signs_c, out=signs[:bs.size])
-            ok = _gold_rows_ok(ctx, signs[:bs.size], s)
-            fb, fc = np.divmod(np.flatnonzero(~ok), cs.size)
-            failures += zip(bs[fb].tolist(), cs[fc].tolist())
-        del signs  # freed before the next batch's rows are allocated
-    failures.sort()
-    a, b, c = _draw_triples(random.Random(seed), order, _ORACLE_SAMPLES)
-    batched = n - gf2.rank_array(cols_b[b - 1] ^ _gold_cols(ctx, t, k, 0, c), n)
-    fws = transform_single(ctx, pair, a, b, c)
-    for bi, ci, s_batched, fw in zip(b.tolist(), c.tolist(), batched.tolist(), fws.tolist()):
-        s = len(gold_map(ctx, t, k, bi, ci).kernel_basis())
-        if s != s_batched or fw * fw not in (0, 1 << (n + s)):
+    np.add.at(s_freq, s, weights)
+
+    a, b, c = _draw_triples(random.Random(seed), ctx.order, _ORACLE_SAMPLES)
+    lam = ctx.pow_array(b, -pow(pair.d1, -1, ctx.group_order) % ctx.group_order)
+    s_of = np.full(ctx.order, -1)
+    s_of[reps] = s
+    folded = s_of[coset_leaders(ctx, ctx.mul_array(ctx.pow_array(lam, pair.d2), c))]
+    fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p]) for p in _batches(n, a)])
+    for bi, ci, s_folded, fw in zip(b.tolist(), c.tolist(), folded.tolist(), fws.tolist()):
+        s_scalar = len(gold_map(ctx, t, k, bi, ci).kernel_basis())
+        if s_scalar != s_folded or fw * fw not in (0, 1 << (n + s_scalar)):
             failures.append((bi, ci))
     s_values = np.flatnonzero(s_freq)
     return GoldKernelSummary(

@@ -4,17 +4,16 @@ For a pair {f, g} the transform is
 
     F(a, b, c) = sum over x in GF(2^n) of (-1)^Tr(a*x + b*f(x) + c*g(x))
 
-scanned over all a and all nonzero b, c.  One kernel computes every row
-(b, c) of it that a scan needs, in two steps that `transform_rows` composes
-for one b and the gold kernel scan (`tecc.kernel`) for blocks of b:
+scanned over all a and all nonzero b, c.  One kernel, `transform_rows`,
+computes every row (b, c) that a scan needs, one b against a batch of c,
+in two steps:
 
 * Signs by bit parity, one table at a time.  Tr(c*y) = parity(lambda(c) & y),
   where lambda(c) is the n-bit mask with bit j = Tr(c*alpha^j), so `_signs`
   builds the rows (-1)^Tr(c*h(x)) = 1 - 2 parity(lambda(c) & h(x)) of one
   table h straight into float32, with lambda computed once per coefficient,
   never per cell.  Since Tr(b*f + c*g) = Tr(b*f) + Tr(c*g), the sign row of
-  (b, c) is the product of the b row of f and the c row of g, so a scan of
-  many (b, c) builds each part once and multiplies.
+  (b, c) is the product of the b row of f and the c row of g.
 * Walsh-Hadamard transform by matrix products.  The Sylvester matrix
   factors as H_(2^n) = H_(2^p) (x) H_(2^q), p = floor(n/2), q = n - p, so a
   row reshaped to X of shape (2^p, 2^q) transforms to H_p X H_q.  The
@@ -174,18 +173,44 @@ def _batches(n: int, cs: np.ndarray):
         yield slice(lo, lo + step)
 
 
-def cyclotomic_cosets(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclotomic cosets {c, c^2, c^4, ...} of L*: each coset's smallest
-    element, ascending, and the coset's size."""
-    cs = np.arange(1, ctx.order)
-    low = cs
-    cur = cs
+def coset_leaders(ctx: FieldCtx, cs) -> np.ndarray:
+    """The smallest element of the cyclotomic coset {c, c^2, c^4, ...} of
+    each c in cs."""
+    low = cur = np.asarray(cs)
     for _ in range(ctx.n - 1):
         cur = ctx.frobenius_array(cur, 1)
         low = np.minimum(low, cur)
-    sizes = np.bincount(low, minlength=ctx.order)
+    return low
+
+
+def cyclotomic_cosets(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclotomic cosets of L*: each coset's smallest element,
+    ascending, and the coset's size."""
+    sizes = np.bincount(coset_leaders(ctx, np.arange(1, ctx.order)), minlength=ctx.order)
     reps = np.flatnonzero(sizes)
     return reps, sizes[reps]
+
+
+def orbit_rows(ctx: FieldCtx, d1: int):
+    """The rows (b, cs) that stand for every (b, c) in L* x L* when f is the
+    power map x^d1 and g a power map too, each with weights: the number of
+    (b, c) that each of its c stands for.
+
+    The substitution x -> lambda*x gives F(a, b, c) = F(lambda*a,
+    lambda^d1*b, lambda^d2*c), so every b row has the values of a row
+    b = g^i, i < e = gcd(d1, 2^n - 1), and each of those stands for
+    (2^n - 1)/e values of b.  Squaring gives F(a, b, c) = F(a^2, b^2, c^2);
+    b = 1 is fixed by it, so on that row one c per cyclotomic coset stands
+    for the whole coset.  The rows b = g^i, i >= 1 (only when e > 1) keep
+    every c.  Both maps turn the quadratic form of (b, c) into an
+    equivalent one, so they keep the gold kernel dimension s as well.
+    """
+    per_b = ctx.group_order // gcd(d1, ctx.group_order)
+    reps, sizes = cyclotomic_cosets(ctx)
+    yield 1, reps, sizes * per_b
+    cs = np.arange(1, ctx.order)
+    for i in range(1, ctx.group_order // per_b):
+        yield ctx.pow(ctx.generator, i), cs, np.full_like(cs, per_b)
 
 
 def _folded_counts(ctx: FieldCtx, f_np, g_np, b: int, cs: np.ndarray,
@@ -223,23 +248,14 @@ def _find_witness(ctx: FieldCtx, pair: MonomialPair) -> tuple[int, int, int]:
 def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     """Exhaustive transform histogram over b, c in L* and the five-value verdict.
 
-    The substitution x -> lambda*x gives F(a, b, c) = F(lambda*a,
-    lambda^d1*b, lambda^d2*c), so every b row has the histogram of a row
-    b = g^i, i < e = gcd(d1, 2^n - 1), and each of those stands for
-    (2^n - 1)/e values of b.  Squaring gives F(a, b, c) = F(a^2, b^2, c^2);
-    b = 1 is fixed by it, so on that row one c per cyclotomic coset stands
-    for the whole coset.  The rows b = g^i, i >= 1 (only when e > 1) keep
-    every c.  Row sums and Parseval are checked on every row computed.
+    Only the rows of `orbit_rows` are computed, each value counted as often
+    as its c's weight.  Row sums and Parseval are checked on every row
+    computed.
     """
     order = ctx.order
-    e = gcd(pair.d1, ctx.group_order)
-    reps, sizes = cyclotomic_cosets(ctx)
-    counts = _folded_counts(ctx, pair.f_np, pair.g_np, 1, reps, sizes)
-    cs = np.arange(1, order)
-    for i in range(1, e):
-        b = ctx.pow(ctx.generator, i)
-        counts += _folded_counts(ctx, pair.f_np, pair.g_np, b, cs, np.ones_like(cs))
-    histogram = _as_histogram(order, counts * (ctx.group_order // e))
+    counts = sum(_folded_counts(ctx, pair.f_np, pair.g_np, b, cs, weights)
+                 for b, cs, weights in orbit_rows(ctx, pair.d1))
+    histogram = _as_histogram(order, counts)
     if sum(histogram.values()) != order * ctx.group_order**2:  # pragma: no cover
         raise ArithmeticError("histogram mass mismatch")
 

@@ -70,7 +70,7 @@ def test_pair_index_sizes():
 
 
 def test_pair_index_has_no_zero_syndrome():
-    assert Syndrome(0, 0, 0) not in get_pair_index("kasami5", 5)
+    assert get_pair_index("kasami5", 5).get(Syndrome(0, 0, 0)) is None
 
 
 def test_collision_detected_on_degenerate_tables():
@@ -97,11 +97,10 @@ def _assert_matches_dict_oracle(ctx, pair, H, index, oracle, rng, words: int):
     assert len(index) == len(oracle)
     for syn, hit in oracle.items():
         assert index.get(syn) == hit
-        assert syn in index
     for _ in range(20_000):
         syn = Syndrome(rng.randrange(ctx.order), rng.randrange(ctx.order), rng.randrange(ctx.order))
         assert index.get(syn) == oracle.get(syn)
-        assert (syn in index) == (syn in oracle)
+        assert (index.get(syn) is not None) == (syn in oracle)
     for _ in range(words):
         received = _random_word(rng, ctx, rng.randrange(6))
         assert decode(ctx, pair, H, index, received) == dict_decode(ctx, pair, H, oracle, received)

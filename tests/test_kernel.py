@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from tecc import (
@@ -34,11 +35,17 @@ from helpers import (
     scalar_kasami_triple,
 )
 
-# s value distribution over all (b, c) in L* x L*, frozen from the
-# exhaustive scan; identical for gold2 and gold3 at these sizes.
+# s value distribution over all (b, c) in L* x L* with k = 1, frozen from
+# the exhaustive scan: identical for gold2 and gold3 at n = 5 and 7; the
+# n = 9 counts are gold2's.
 GOLD_N5_S_COUNTS = {1: 806, 3: 155}
 GOLD_N7_S_COUNTS = {1: 13462, 3: 2667}
 GOLD_N9_S_COUNTS = {1: 217686, 3: 43435}
+# Identical for gold2 and gold3 with k = 1.  The unfolded scan over all
+# 2047^2 pairs gave these n = 11 counts in 27-29 s (2 vCPUs); the n = 13
+# counts come from the folded scan only.
+GOLD_N11_S_COUNTS = {1: 3492182, 3: 698027}
+GOLD_N13_S_COUNTS = {1: 55911766, 3: 11180715}
 
 
 def test_identity_map_kernel():
@@ -116,9 +123,9 @@ def test_gold3_kernel_bound_n5():
 
 
 def test_gold_scan_streams_its_rows(monkeypatch):
-    # only the count of each s is kept, and each b's c rows come in batches:
-    # 32 rows of 512 cells at a time peak far below the 2 MiB that s at all
-    # 511^2 pairs alone would take
+    # only the count of each s is kept, and the representatives' rows and
+    # the oracle samples come in batches: 32 rows of 512 cells at a time
+    # peak far below the 2 MiB that s at all 511^2 pairs alone would take
     ctx, pair = get_ctx(9), get_pair("gold2", 9)
     monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 14)
     tracemalloc.start()
@@ -132,8 +139,8 @@ def test_gold_scan_streams_its_rows(monkeypatch):
 
 
 def test_gold_scan_footprint_at_the_benchmark_size():
-    # the default blocks at n = 7 hold 4 values of b against all 127 c
-    # (2^16 cells); blocks of a whole spectrum batch would take about 20 MiB
+    # the fold leaves 19 rows of 128 cells at n = 7, one batch, and the
+    # samples take one batch of 64 naive sums
     ctx, pair = get_ctx(7), get_pair("gold2", 7)
     tracemalloc.start()
     try:
@@ -142,12 +149,20 @@ def test_gold_scan_footprint_at_the_benchmark_size():
     finally:
         tracemalloc.stop()
     assert summary.s_counts == GOLD_N7_S_COUNTS and summary.all_consistent
-    assert peak < 2 << 20
+    assert peak < 1 << 20
 
 
 def test_gold_scan_requires_gold_family():
     with pytest.raises(ValueError):
         gold_kernel_scan(get_ctx(5), get_pair("kasami5", 5))
+
+
+@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("family", ["gold2", "gold3"])
+def test_gold_scan_keeps_the_pinned_counts_at_larger_n(family, n):
+    counts = GOLD_N11_S_COUNTS if n == 11 else GOLD_N13_S_COUNTS
+    summary = gold_kernel_scan(get_ctx(n), get_pair(family, n))
+    assert summary == GoldKernelSummary(family, n, 1, ((1 << n) - 1) ** 2, 3, counts, True, [])
 
 
 def test_squared_transform_matches_kernel_dimension():
@@ -281,37 +296,103 @@ def test_gold_scan_matches_scalar_oracle(family, n):
     assert batched.s_counts == (GOLD_N5_S_COUNTS if n == 5 else GOLD_N7_S_COUNTS)
 
 
-@pytest.mark.parametrize("family, count", [("gold2", 865), ("gold3", 864)])
-def test_gold_scan_failures_match_scalar_oracle(family, count):
+@pytest.mark.parametrize("family", ["gold2", "gold3"])
+def test_gold_scan_refuses_exponents_off_its_family(family):
+    # L and the fold both assume (2^k + 1, 2^(tk) + 1); g = x^7 is neither
     ctx, bad = pair_with_g7(family)
-    batched = gold_kernel_scan(ctx, bad)
-    assert not batched.all_consistent
-    assert len(batched.failures) == count
-    assert batched == scalar_gold_kernel_scan(ctx, bad)
+    with pytest.raises(ValueError, match="exponents"):
+        gold_kernel_scan(ctx, bad)
 
 
-@pytest.mark.parametrize("family, count", [("gold2", 865), ("gold3", 864)])
-def test_gold_scan_failures_keep_their_order_across_blocks(monkeypatch, family, count):
-    # c batches of 8 rows and blocks of 8 or 9 values of b at n = 5, so the
-    # failing (b, c) of many blocks are gathered back into (b, c) order
-    ctx, bad = pair_with_g7(family)
-    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 8)
-    monkeypatch.setattr(kernel, "_CHUNK_CELLS", 1 << 11)
-    batched = gold_kernel_scan(ctx, bad)
-    assert len(batched.failures) == count
-    assert batched == scalar_gold_kernel_scan(ctx, bad)
+def _gold_samples(ctx, seed=0):
+    """The (a, b, c) that gold_kernel_scan samples at this seed."""
+    drawn = kernel._draw_triples(random.Random(seed), ctx.order, kernel._ORACLE_SAMPLES)
+    return list(zip(*(x.tolist() for x in drawn)))
+
+
+@pytest.mark.parametrize("family", ["gold2", "gold3"])
+def test_gold_scan_failures_keep_their_order_across_batches(monkeypatch, family):
+    # batches of 4 representatives at n = 7, and every third row doubled,
+    # so |F| misses 2^((n+s)/2): the failing (1, c) of many batches come
+    # back in ascending c, and the samples, which read no row, all pass
+    ctx, pair = get_ctx(7), get_pair(family, 7)
+    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    bad = reps[::3]
+    rows = kernel.transform_rows
+    monkeypatch.setattr(kernel, "transform_rows", lambda ctx, f, g, b, cs: (
+        rows(ctx, f, g, b, cs) * np.where(np.isin(cs, bad), 2, 1)[:, None]))
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 9)
+    summary = gold_kernel_scan(ctx, pair)
+    assert reps.size > 4 * 4
+    assert summary.failures == [(1, c) for c in bad.tolist()]
+    assert summary.s_counts == GOLD_N7_S_COUNTS
+
+
+def test_gold_scan_flags_values_off_the_odd_s_magnitude(monkeypatch):
+    # a rank two short turns s = 1 and 3 into 3 and 5, still odd, so m
+    # doubles and every row, each with some F != 0 (Parseval), must fail;
+    # the samples' scalar s no longer matches the scan's either
+    ctx = get_ctx(5)
+    rank_array = kernel.gf2.rank_array
+    monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 2)
+    summary = gold_kernel_scan(ctx, get_pair("gold2", 5))
+    assert summary.s_counts == {s + 2: count for s, count in GOLD_N5_S_COUNTS.items()}
+    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
+    assert summary.failures == [(1, c) for c in reps.tolist()] + sampled
 
 
 def test_gold_scan_flags_nonzero_values_at_even_s(monkeypatch):
     # a rank one short turns s = 1 and 3 into 2 and 4; every row has some
-    # F != 0 (Parseval), so m = 0 at even s must fail every (b, c), although
-    # |F| = 2^3 = 2^floor((n + 2)/2) on the rows of true s = 1
+    # F != 0 (Parseval), so m = 0 at even s must fail every representative,
+    # although |F| = 2^3 = 2^floor((n + 2)/2) on the rows of true s = 1
+    ctx = get_ctx(5)
     rank_array = kernel.gf2.rank_array
     monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
-    summary = gold_kernel_scan(get_ctx(5), get_pair("gold2", 5))
+    summary = gold_kernel_scan(ctx, get_pair("gold2", 5))
     assert summary.s_counts == {s + 1: count for s, count in GOLD_N5_S_COUNTS.items()}
-    assert summary.failures[:31 * 31] == [(b, c) for b in range(1, 32) for c in range(1, 32)]
-    assert len(summary.failures) == 31 * 31 + kernel._ORACLE_SAMPLES
+    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
+    assert summary.failures == [(1, c) for c in reps.tolist()] + sampled
+
+
+def test_gold_scan_flags_a_sample_whose_scalar_s_differs(monkeypatch):
+    # one extra basis vector raises every sample's scalar s by one; F^2
+    # against that s misses only where F != 0, the s match fails everywhere
+    ctx, pair = get_ctx(7), get_pair("gold3", 7)
+    samples = _gold_samples(ctx)
+    assert any(transform_single(ctx, pair, a, b, c) == 0 for a, b, c in samples)
+    basis = LinearizedMap.kernel_basis
+    monkeypatch.setattr(LinearizedMap, "kernel_basis", lambda self: basis(self) + [0])
+    summary = gold_kernel_scan(ctx, pair)
+    assert summary.s_counts == GOLD_N7_S_COUNTS
+    assert summary.failures == [(b, c) for _, b, c in samples]
+
+
+def test_gold_scan_flags_a_sample_whose_square_misses(monkeypatch):
+    # a doubled naive sum leaves every row and every s alone; F^2 = 4 *
+    # 2^(n+s) must fail exactly the samples with F != 0
+    ctx, pair = get_ctx(7), get_pair("gold2", 7)
+    naive = kernel.transform_single
+    monkeypatch.setattr(kernel, "transform_single", lambda *args: 2 * naive(*args))
+    summary = gold_kernel_scan(ctx, pair)
+    expected = [(b, c) for a, b, c in _gold_samples(ctx) if transform_single(ctx, pair, a, b, c)]
+    assert 0 < len(expected) < kernel._ORACLE_SAMPLES
+    assert summary.failures == expected
+
+
+def test_gold_scan_checks_the_fold_on_its_samples(monkeypatch):
+    # the leader of g * c' instead of c' names a representative of another
+    # coset: the samples whose s differs there must fail, the rows must not
+    ctx, pair = get_ctx(7), get_pair("gold2", 7)
+    leaders = spectrum.coset_leaders
+    monkeypatch.setattr(kernel, "coset_leaders", lambda ctx, cs: leaders(
+        ctx, ctx.mul_array(cs, ctx.generator)))
+    summary = gold_kernel_scan(ctx, pair)
+    sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
+    assert summary.s_counts == GOLD_N7_S_COUNTS
+    assert 0 < len(summary.failures) < len(sampled)
+    assert set(summary.failures) <= set(sampled)
 
 
 @pytest.mark.parametrize("n, samples, seed", [(5, 400, 2), (7, 1500, 3)])

@@ -1,5 +1,6 @@
 """The library holds only code that runs, the CLI runs the certification
-chain from one place, and the README's example runs.
+chain from one place, every transform row comes from one entry point, and
+the README's example runs.
 
 A function that only the tests call is a test oracle and lives in
 `tests/helpers.py`; the README's `Library` block is run as written, so a
@@ -60,3 +61,13 @@ def test_readme_library_example_runs():
     assert (scope["rank"], scope["dim"]) == (21, 106)
     assert scope["result"].status == "corrected"
     assert scope["result"].corrected_word == scope["encode"](scope["gen"], 12345)
+
+
+def test_transform_rows_is_the_one_transform_entry_point():
+    # the sign helper and the Walsh-Hadamard products are named in no
+    # library module but spectrum.py, so every row comes from transform_rows
+    named = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectrum.py" and re.search(r"\b(_signs|_walsh_hadamard)\b", path.read_text())
+    ]
+    assert named == []
