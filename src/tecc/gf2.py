@@ -50,26 +50,6 @@ def rank_array(rows, ncols: int) -> np.ndarray:
     return rank
 
 
-def nullspace_basis(echelon: tuple[int, list[int], list[int]], ncols: int) -> tuple[list[int], list[int]]:
-    """Basis of {x : M x = 0} from `row_reduce(M, ncols)`, plus the list of
-    free (non-pivot) columns.
-
-    Basis vector i has bit free_cols[i] set, so stacking them yields a
-    systematic-form generator for the nullspace.
-    """
-    _, rref, pivots = echelon
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = 1 << fc
-        for r, pc in enumerate(pivots):
-            if (rref[r] >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis, free_cols
-
-
 def to_int(bits: np.ndarray) -> int:
     """The int whose bit j is bits[j], for a vector of 0/1 uint8."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -80,15 +60,3 @@ def to_bits(word: int, width: int) -> np.ndarray:
     low = word & ((1 << width) - 1)
     raw = np.frombuffer(low.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=width, bitorder="little")
-
-
-def transpose(rows: list[int], ncols: int) -> list[int]:
-    """Transpose a bit matrix given as row bitmasks."""
-    out = []
-    for c in range(ncols):
-        v = 0
-        for r, row in enumerate(rows):
-            v |= ((row >> c) & 1) << r
-        out.append(v)
-    return out
-

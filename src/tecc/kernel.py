@@ -43,7 +43,7 @@ import numpy as np
 from . import gf2
 from .field import FieldCtx
 from .functions import FamilySpec, MonomialPair, family_exponents
-from .spectrum import _batches, coset_leaders, orbit_rows, transform_rows, transform_single
+from .spectrum import _batches, _row_batches, coset_leaders, orbit_rows, transform_single
 
 _CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 batch
 _ORACLE_SAMPLES = 64  # (a, b, c) the gold scan cross-checks with the scalar oracles
@@ -71,11 +71,6 @@ class LinearizedMap:
         for coeff, shift in self.terms:
             acc ^= ctx.mul(coeff, ctx.frobenius(u, shift))
         return acc
-
-    def kernel_basis(self) -> list[int]:
-        rows = gf2.transpose(self.cols, self.ctx.n)
-        basis, _ = gf2.nullspace_basis(gf2.row_reduce(rows, self.ctx.n), self.ctx.n)
-        return basis
 
 
 def _gold_terms(frob, t: int, k: int, b, c) -> list:
@@ -203,16 +198,16 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
     `orbit_rows` folds them onto: b = 1 and one c per cyclotomic coset, each
     counted by the (b, c) it stands for.
 
-    Each representative's s = dim ker L comes from one array GF(2)
-    elimination per batch, and its transform row from `transform_rows`.
+    Each batch of `spectrum._row_batches` gives the representatives'
+    transform rows, and one array GF(2) elimination their s = dim ker L.
     Every squared value must lie in {0, 2^(n+s)}, with s odd wherever
     F != 0: as n is odd, |F| in {0, m} on the row, m = 2^((n+s)/2) at odd
     s and 0 at even s, at the transform's own int16/int32 width.  Only the
     count of each s is kept; failing (1, c) come back in ascending c.
 
     Seeded samples (a, b, c) check the scan and its fold against the scalar
-    oracles: F by the naive sum, in the same batches, and the scalar s of
-    L_(b,c), which must equal the scan's s at the coset leader of
+    oracles: F by the naive sum, and s = n - rank of L_(b,c) by Python-int
+    elimination, which must equal the scan's s at the coset leader of
     c' = lambda^d2 * c, lambda = b^(-1/d1), the representative that (b, c)
     folds onto.  Their failures follow the scan's.
     """
@@ -225,29 +220,29 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
         raise ValueError(f"kernel scan expects the exponents of {pair.family} with k = {k}, "
                          f"got ({pair.d1}, {pair.d2})")
     n = ctx.n
-    # one row, b = 1, since gcd(2^k + 1, 2^n - 1) = 1 for odd n
-    (_, reps, weights), = orbit_rows(ctx, pair.d1)
-
     failures: list[tuple[int, int]] = []
-    s = np.empty_like(reps)
-    for part in _batches(n, reps):
-        cs = reps[part]
-        s[part] = n - gf2.rank_array(_gold_cols(ctx, t, k, 1, cs), n)
-        values = np.abs(transform_rows(ctx, pair.f_np, pair.g_np, 1, cs))
-        m = np.where(s[part] % 2 == 1, 1 << ((n + s[part]) // 2), 0).astype(values.dtype)
-        ok = ((values == 0) | (values == m[:, None])).all(axis=1)
-        failures += [(1, c) for c in cs[~ok].tolist()]
     s_freq = np.zeros(n + 1, dtype=np.int64)  # number of (b, c) with each s
-    np.add.at(s_freq, s, weights)
+    s_of = np.full(ctx.order, -1)
+    # orbit_rows yields the row b = 1 alone, since gcd(2^k + 1, 2^n - 1) = 1
+    # for odd n, so s_of holds the s of every representative (1, c)
+    for b, cs, weights, values in _row_batches(ctx, pair.f_np, pair.g_np, orbit_rows(ctx, pair.d1)):
+        s = n - gf2.rank_array(_gold_cols(ctx, t, k, b, cs), n)
+        np.abs(values, out=values)
+        m = np.where(s % 2 == 1, 1 << ((n + s) // 2), 0).astype(values.dtype)
+        ok = ((values == 0) | (values == m[:, None])).all(axis=1)
+        failures += [(b, c) for c in cs[~ok].tolist()]
+        np.add.at(s_freq, s, weights)
+        s_of[cs] = s
 
     a, b, c = _draw_triples(random.Random(seed), ctx.order, _ORACLE_SAMPLES)
     lam = ctx.pow_array(b, -pow(pair.d1, -1, ctx.group_order) % ctx.group_order)
-    s_of = np.full(ctx.order, -1)
-    s_of[reps] = s
     folded = s_of[coset_leaders(ctx, ctx.mul_array(ctx.pow_array(lam, pair.d2), c))]
-    fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p]) for p in _batches(n, a)])
+    # a naive-sum cell holds about three int64 temporaries against a row
+    # cell's 4 bytes, so its slices are 2^3 times shorter than the rows'
+    fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p])
+                          for p in _batches(n + 3, a)])
     for bi, ci, s_folded, fw in zip(b.tolist(), c.tolist(), folded.tolist(), fws.tolist()):
-        s_scalar = len(gold_map(ctx, t, k, bi, ci).kernel_basis())
+        s_scalar = n - gf2.row_reduce(gold_map(ctx, t, k, bi, ci).cols, n)[0]
         if s_scalar != s_folded or fw * fw not in (0, 1 << (n + s_scalar)):
             failures.append((bi, ci))
     s_values = np.flatnonzero(s_freq)

@@ -191,57 +191,69 @@ def cyclotomic_cosets(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return reps, sizes[reps]
 
 
+def scaling_reps(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, int]:
+    """The g^i, i < e = gcd(d, 2^n - 1), onto which x -> lambda*x folds the
+    nonzero coefficients of the power map x^d, and the (2^n - 1)/e that each
+    stands for; d = None (no power map) keeps every coefficient."""
+    e = gcd(d, ctx.group_order) if d else ctx.group_order
+    return ctx.pow_array(ctx.generator, np.arange(e)), ctx.group_order // e
+
+
 def orbit_rows(ctx: FieldCtx, d1: int):
     """The rows (b, cs) that stand for every (b, c) in L* x L* when f is the
     power map x^d1 and g a power map too, each with weights: the number of
     (b, c) that each of its c stands for.
 
     The substitution x -> lambda*x gives F(a, b, c) = F(lambda*a,
-    lambda^d1*b, lambda^d2*c), so every b row has the values of a row
-    b = g^i, i < e = gcd(d1, 2^n - 1), and each of those stands for
-    (2^n - 1)/e values of b.  Squaring gives F(a, b, c) = F(a^2, b^2, c^2);
+    lambda^d1*b, lambda^d2*c), so every b row has the values of a row b of
+    `scaling_reps(ctx, d1)`.  Squaring gives F(a, b, c) = F(a^2, b^2, c^2);
     b = 1 is fixed by it, so on that row one c per cyclotomic coset stands
     for the whole coset.  The rows b = g^i, i >= 1 (only when e > 1) keep
     every c.  Both maps turn the quadratic form of (b, c) into an
     equivalent one, so they keep the gold kernel dimension s as well.
     """
-    per_b = ctx.group_order // gcd(d1, ctx.group_order)
+    bs, per_b = scaling_reps(ctx, d1)
     reps, sizes = cyclotomic_cosets(ctx)
     yield 1, reps, sizes * per_b
     cs = np.arange(1, ctx.order)
-    for i in range(1, ctx.group_order // per_b):
-        yield ctx.pow(ctx.generator, i), cs, np.full_like(cs, per_b)
+    for b in bs[1:].tolist():
+        yield b, cs, np.full_like(cs, per_b)
 
 
-def _folded_counts(ctx: FieldCtx, f_np, g_np, b: int, cs: np.ndarray,
-                   weights: np.ndarray) -> np.ndarray:
-    """Value counts of the rows (b, c), c in cs, row i counted weights[i]
-    times.  Every row's sum and Parseval are checked."""
+def _row_batches(ctx: FieldCtx, f_np, g_np, rows):
+    """(b, cs, weights, transform rows) for each `_batches` slice of the
+    rows (b, cs, weights), in order."""
+    for b, cs, weights in rows:
+        for part in _batches(ctx.n, cs):
+            yield b, cs[part], weights[part], transform_rows(ctx, f_np, g_np, b, cs[part])
+
+
+def _folded_counts(ctx: FieldCtx, f_np, g_np, rows) -> np.ndarray:
+    """Value counts of the rows (b, cs, weights), the row (b, cs[i]) counted
+    weights[i] times.  Every row's sum and Parseval are checked."""
     order = ctx.order
     counts = np.zeros(order + 1, dtype=np.int64)
-    for part in _batches(ctx.n, cs):
-        rows = transform_rows(ctx, f_np, g_np, b, cs[part])
-        if not (rows.sum(axis=1, dtype=np.int64) == order).all():
+    for b, _, w, values in _row_batches(ctx, f_np, g_np, rows):
+        if not (values.sum(axis=1, dtype=np.int64) == order).all():
             raise ArithmeticError(f"transform row sum != 2^n at b={b}")
-        if not ((rows.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
+        if not ((values.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
             raise ArithmeticError(f"Parseval violated at b={b}")
-        w = weights[part]
         for size in np.unique(w).tolist():
-            counts += size * _value_counts(order, rows[w == size])
+            counts += size * _value_counts(order, values[w == size])
     return counts
 
 
 def _find_witness(ctx: FieldCtx, pair: MonomialPair) -> tuple[int, int, int]:
-    """The first offending (a, b, c) in (b, c, a) order, by the naive oracle."""
-    ok = allowed_values(ctx.n)
-    cs = np.arange(1, ctx.order)
-    for b in range(1, ctx.order):
-        for part in _batches(ctx.n, cs):
-            rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs[part])
-            for c in cs[part][~np.isin(rows, list(ok)).all(axis=1)].tolist():
-                for a in range(ctx.order):
-                    if transform_single(ctx, pair, a, b, c) not in ok:
-                        return (a, b, c)
+    """The first offending (a, b, c) on the rows of `orbit_rows`, the least a
+    by the naive oracle.  When gcd(d1, 2^n - 1) = 1 it is the first in
+    (b, c, a) order over every row: squaring keeps a row's values, so the
+    least offending c on the row b = 1 is its coset's leader."""
+    ok = list(allowed_values(ctx.n))
+    for b, cs, _, values in _row_batches(ctx, pair.f_np, pair.g_np, orbit_rows(ctx, pair.d1)):
+        for c in cs[~np.isin(values, ok).all(axis=1)].tolist():
+            for a in range(ctx.order):
+                if transform_single(ctx, pair, a, b, c) not in ok:
+                    return (a, b, c)
     raise AssertionError("offending row vanished on rescan")  # pragma: no cover
 
 
@@ -253,8 +265,7 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     computed.
     """
     order = ctx.order
-    counts = sum(_folded_counts(ctx, pair.f_np, pair.g_np, b, cs, weights)
-                 for b, cs, weights in orbit_rows(ctx, pair.d1))
+    counts = _folded_counts(ctx, pair.f_np, pair.g_np, orbit_rows(ctx, pair.d1))
     histogram = _as_histogram(order, counts)
     if sum(histogram.values()) != order * ctx.group_order**2:  # pragma: no cover
         raise ArithmeticError("histogram mass mismatch")
@@ -269,13 +280,11 @@ def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]
 
     Used for the dual-code strata where exactly one of the pair's functions
     has a zero coefficient.  When h is a power map x^d, x -> lambda*x gives
-    F(a, 0, c) = F(lambda*a, 0, lambda^d*c), so the rows c = g^i, i < e =
-    gcd(d, 2^n - 1), each stand for (2^n - 1)/e rows; any other table takes
-    e = 2^n - 1, every row.  Row sums and Parseval are checked on every row
-    computed.
+    F(a, 0, c) = F(lambda*a, 0, lambda^d*c), so only the rows c of
+    `scaling_reps(ctx, d)` are computed, each counted for the coefficients
+    it stands for; any other table keeps every row.  Row sums and Parseval
+    are checked on every row computed.
     """
-    d = power_exponent(ctx, table_np)
-    e = gcd(d, ctx.group_order) if d else ctx.group_order
-    cs = ctx.pow_array(ctx.generator, np.arange(e))
-    counts = _folded_counts(ctx, table_np, table_np, 0, cs, np.ones_like(cs))
-    return _as_histogram(ctx.order, counts * (ctx.group_order // e))
+    cs, per_c = scaling_reps(ctx, power_exponent(ctx, table_np))
+    counts = _folded_counts(ctx, table_np, table_np, [(0, cs, np.full_like(cs, per_c))])
+    return _as_histogram(ctx.order, counts)

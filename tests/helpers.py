@@ -33,7 +33,7 @@ from tecc import (
 )
 from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
-from tecc.gf2 import nullspace_basis, to_bits, to_int
+from tecc.gf2 import row_reduce, to_bits, to_int
 from tecc.kernel import (
     _G_TERMS,
     _ORACLE_SAMPLES,
@@ -45,7 +45,7 @@ from tecc.kernel import (
     _kasami_terms,
     gold_map,
 )
-from tecc.spectrum import transform_rows, transform_single
+from tecc.spectrum import allowed_values, transform_rows, transform_single
 
 FAMILIES = ("gold2", "gold3", "th", "kasami5")
 
@@ -159,9 +159,46 @@ def eval_matrix(lmap: LinearizedMap, u: int) -> int:
     return acc
 
 
+def transpose(rows: list[int], ncols: int) -> list[int]:
+    """Transpose a bit matrix given as row bitmasks."""
+    out = []
+    for c in range(ncols):
+        v = 0
+        for r, row in enumerate(rows):
+            v |= ((row >> c) & 1) << r
+        out.append(v)
+    return out
+
+
+def nullspace_basis(echelon: tuple[int, list[int], list[int]], ncols: int) -> tuple[list[int], list[int]]:
+    """Basis of {x : M x = 0} from `row_reduce(M, ncols)`, plus the list of
+    free (non-pivot) columns.
+
+    Basis vector i has bit free_cols[i] set, so stacking them yields a
+    systematic-form generator for the nullspace.
+    """
+    _, rref, pivots = echelon
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        v = 1 << fc
+        for r, pc in enumerate(pivots):
+            if (rref[r] >> fc) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis, free_cols
+
+
+def kernel_basis(lmap: LinearizedMap) -> list[int]:
+    """A basis of lmap's kernel, from the nullspace of its matrix."""
+    n = lmap.ctx.n
+    return nullspace_basis(row_reduce(transpose(lmap.cols, n), n), n)[0]
+
+
 def kernel_of(lmap: LinearizedMap) -> list[int]:
     """All 2^s kernel elements, sorted; always contains 0."""
-    return span(lmap.kernel_basis())
+    return span(kernel_basis(lmap))
 
 
 def kasami_map(ctx, k: int, a: int, b: int, c: int) -> LinearizedMap:
@@ -319,6 +356,21 @@ def unreduced_histogram(ctx, pair) -> dict[int, int]:
     return {v - order: int(cnt) for v, cnt in enumerate(counts) if cnt}
 
 
+def unreduced_witness(ctx, pair) -> tuple[int, int, int]:
+    """The first (a, b, c) in (b, c, a) order over L* x L* x L whose naive
+    sum leaves the five-value set, one row batch per b, with no orbit
+    reduction."""
+    ok = allowed_values(ctx.n)
+    cs = np.arange(1, ctx.order)
+    for b in range(1, ctx.order):
+        rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs)
+        for c in cs[~np.isin(rows, list(ok)).all(axis=1)].tolist():
+            for a in range(ctx.order):
+                if transform_single(ctx, pair, a, b, c) not in ok:
+                    return (a, b, c)
+    raise AssertionError("every value is five-valued")
+
+
 def reduced_histogram(ctx, pair) -> dict[int, int]:
     """The (a, b, c) value histogram over b, c in L* from the rows b = g^i,
     i < e = gcd(d1, 2^n - 1), each with every c, scaled by (2^n - 1)/e: the
@@ -394,7 +446,7 @@ def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
     for b in range(1, order):
         rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
         for c, values in zip(cs.tolist(), rows):
-            s = len(gold_map(ctx, t, k, b, c).kernel_basis())
+            s = len(kernel_basis(gold_map(ctx, t, k, b, c)))
             s_counts[s] = s_counts.get(s, 0) + 1
             max_s = max(max_s, s)
             ok = set(np.unique(values ** 2).tolist()) <= {0, 1 << (ctx.n + s)}
@@ -404,7 +456,7 @@ def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
                 failures.append((b, c))
             checked += 1
     for a, b, c in zip(*(x.tolist() for x in _draw_triples(rng, order, _ORACLE_SAMPLES))):
-        s = len(gold_map(ctx, t, k, b, c).kernel_basis())
+        s = len(kernel_basis(gold_map(ctx, t, k, b, c)))
         fw = transform_single(ctx, pair, a, b, c)
         if fw * fw not in (0, 1 << (ctx.n + s)):
             failures.append((b, c))

@@ -27,6 +27,7 @@ from helpers import (
     kasami_identity_residual,
     kasami_map,
     kasami_quadratic,
+    kernel_basis,
     kernel_of,
     pair_with_g7,
     quadratic_pair_identity,
@@ -172,7 +173,7 @@ def test_squared_transform_matches_kernel_dimension():
     rng = random.Random(9)
     for _ in range(40):
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
-        s = len(gold_map(ctx, 2, 1, b, c).kernel_basis())
+        s = len(kernel_basis(gold_map(ctx, 2, 1, b, c)))
         for a in (0, rng.randrange(32), rng.randrange(32)):
             fw = transform_single(ctx, pair, a, b, c)
             assert fw * fw in (0, 1 << (5 + s))
@@ -318,8 +319,8 @@ def test_gold_scan_failures_keep_their_order_across_batches(monkeypatch, family)
     ctx, pair = get_ctx(7), get_pair(family, 7)
     reps = spectrum.cyclotomic_cosets(ctx)[0]
     bad = reps[::3]
-    rows = kernel.transform_rows
-    monkeypatch.setattr(kernel, "transform_rows", lambda ctx, f, g, b, cs: (
+    rows = spectrum.transform_rows
+    monkeypatch.setattr(spectrum, "transform_rows", lambda ctx, f, g, b, cs: (
         rows(ctx, f, g, b, cs) * np.where(np.isin(cs, bad), 2, 1)[:, None]))
     monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 9)
     summary = gold_kernel_scan(ctx, pair)
@@ -357,13 +358,18 @@ def test_gold_scan_flags_nonzero_values_at_even_s(monkeypatch):
 
 
 def test_gold_scan_flags_a_sample_whose_scalar_s_differs(monkeypatch):
-    # one extra basis vector raises every sample's scalar s by one; F^2
-    # against that s misses only where F != 0, the s match fails everywhere
+    # a rank one short raises every sample's scalar s by one; F^2 against
+    # that s misses only where F != 0, the s match fails everywhere
     ctx, pair = get_ctx(7), get_pair("gold3", 7)
     samples = _gold_samples(ctx)
     assert any(transform_single(ctx, pair, a, b, c) == 0 for a, b, c in samples)
-    basis = LinearizedMap.kernel_basis
-    monkeypatch.setattr(LinearizedMap, "kernel_basis", lambda self: basis(self) + [0])
+    row_reduce = kernel.gf2.row_reduce
+
+    def short_rank(rows, n):
+        rank, *rest = row_reduce(rows, n)
+        return (rank - 1, *rest)
+
+    monkeypatch.setattr(kernel.gf2, "row_reduce", short_rank)
     summary = gold_kernel_scan(ctx, pair)
     assert summary.s_counts == GOLD_N7_S_COUNTS
     assert summary.failures == [(b, c) for _, b, c in samples]

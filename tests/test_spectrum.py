@@ -13,9 +13,11 @@ from tecc.functions import power_exponent
 from tecc.spectrum import cyclotomic_cosets, transform_rows
 
 from tecc import (
+    MonomialPair,
     allowed_values,
     full_spectrum,
     monomial_pair,
+    power_table,
     single_table_spectrum,
     spectrum_for_bc,
     transform_single,
@@ -32,6 +34,7 @@ from helpers import (
     loop_transform,
     reduced_histogram,
     unreduced_histogram,
+    unreduced_witness,
 )
 
 # Frozen by the naive oracle (transform_single) for gold2 k=1 over GF(2^5).
@@ -254,7 +257,9 @@ def test_reduced_scan_matches_unreduced_oracle(family, n):
 
 
 def test_reduced_scan_with_several_b_orbits():
-    # gcd(7, 2^9 - 1) = 7, so the scan needs the rows b = g^0 .. g^6
+    # gcd(7, 2^9 - 1) = 7, so the scan needs the rows b = g^0 .. g^6; the
+    # witness may differ from the unreduced oracle's, but it offends and
+    # lies on a row that orbit_rows yields
     ctx = get_ctx(9)
     pair = monomial_pair(ctx, 7, 3)
     report = full_spectrum(ctx, pair)
@@ -262,6 +267,24 @@ def test_reduced_scan_with_several_b_orbits():
     assert report.histogram == unreduced_histogram(ctx, pair)
     a, b, c = report.witness
     assert transform_single(ctx, pair, a, b, c) not in allowed_values(9)
+    rows = {rb: cs.tolist() for rb, cs, _ in spectrum.orbit_rows(ctx, pair.d1)}
+    assert len(rows) == 7 and c in rows[b]
+
+
+@pytest.mark.parametrize("d1,d2,n", [
+    (d1, d2, n) for d1, d2 in [(3, 7), (3, 3), (5, 11)] for n in (5, 7, 9, 11)
+    if (d1, d2, n) != (5, 11, 7)  # five-valued
+])
+def test_witness_equals_the_unreduced_oracle(d1, d2, n):
+    # gcd(d1, 2^n - 1) = 1: the row b = 1 holds every row's values, and
+    # its least offending c is a coset leader, so the fold's first witness
+    # is the first in (b, c, a) order over every row; (3, 3) has rank defect
+    ctx = get_ctx(n)
+    pair = MonomialPair(n, d1, d2, power_table(ctx, d1), power_table(ctx, d2))
+    assert np.gcd(d1, ctx.group_order) == 1
+    report = full_spectrum(ctx, pair)
+    assert not report.five_valued
+    assert report.witness == unreduced_witness(ctx, pair)
 
 
 @pytest.mark.parametrize("family,n", [(f, n) for n in (5, 7) for f in FAMILIES])
