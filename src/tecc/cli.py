@@ -148,9 +148,9 @@ def cmd_kernel(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) ->
         _emit(config, summary.to_json_dict())
         return 0 if summary.all_consistent else 1
     if config.family == "kasami5":
-        # the scan is exhaustive at n = 5 and samples above
-        if config.samples is not None and config.n == 5:
-            raise ValueError("--samples: the kasami5 scan at n = 5 checks every (a, b, c)")
+        # the scan is exhaustive at n <= 9 and samples above
+        if config.samples is not None and config.n <= 9:
+            raise ValueError("--samples: the kasami5 scan at n <= 9 checks every (a, b, c)")
         summary = kasami_kernel_scan(
             ctx, pair,
             samples=10_000 if config.samples is None else config.samples,

@@ -20,15 +20,18 @@ forces |S0| - |S1| to be 0 or |K|, where S0/S1 split K by Tr(Q(u)), and the
 companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u) detects membership:
 u is in K iff G(u) is 0 or 1, and in S0 iff G(u) = 0.
 
-Everything here verifies those identities numerically via exact GF(2)
-linear algebra; nothing is proven symbolically.  The gold scan reads the
-fold of `spectrum.orbit_rows`: x -> lambda*x and squaring keep both |F| and
-s = dim ker L, so the row b = 1, one c per cyclotomic coset of L*, stands
-for every (b, c); its seeded samples check that invariance rather than
-assume it.  The kasami5 scan evaluates L at every u, to check |K| against
-the rank of L's columns, but Tr Q and G only on K, where its checks read
-them.  On K, u*L(u) = 0, so the functional equation reduces to
-G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1} requires.
+Everything here verifies those identities numerically via exact GF(2) linear
+algebra; nothing is proven symbolically.  The exhaustive scans check one
+representative per orbit of squaring and of x -> lambda*x, which takes
+(a, b, c) to (lambda*a, lambda^d1*b, lambda^d2*c) and keeps F, s and (as
+u -> mu*u, mu^(2^k+1) = lambda) the kasami5 |K|, |S0| and |S1|: the gold scan
+the rows of `spectrum.orbit_rows`, b = 1 and one c per cyclotomic coset of
+L*, the kasami5 scan (1, b, c), one (b, c) per Frobenius orbit, and
+(0, 1, c).  Seeded samples check the invariance rather than assume it.  The
+kasami5 scan evaluates L at every u, to check |K| against the rank of L's
+columns, but Tr Q and G only on K, where its checks read them.  On K,
+u*L(u) = 0, so the functional equation reduces to G = G^(2^-k), i.e. G in
+GF(2) (gcd(k, n) = 1), which G in {0, 1} requires.
 Off K, test_g_form_functional_equation and test_g_form_flags_kernel_membership
 pin the equation and G's membership test.
 """
@@ -45,8 +48,7 @@ from .field import FieldCtx
 from .functions import FamilySpec, MonomialPair, family_exponents
 from .spectrum import _batches, _row_batches, coset_leaders, orbit_rows, transform_single
 
-_CHUNK_CELLS = 1 << 16  # (triple, u) cells per kasami5 batch
-_ORACLE_SAMPLES = 64  # (a, b, c) the gold scan cross-checks with the scalar oracles
+_ORACLE_SAMPLES = 64  # (a, b, c) each exhaustive scan cross-checks against its fold
 
 
 @dataclass
@@ -240,7 +242,7 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
     # a naive-sum cell holds about three int64 temporaries against a row
     # cell's 4 bytes, so its slices are 2^3 times shorter than the rows'
     fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p])
-                          for p in _batches(n + 3, a)])
+                          for p in _batches(n + 3, a.size)])
     for bi, ci, s_folded, fw in zip(b.tolist(), c.tolist(), folded.tolist(), fws.tolist()):
         s_scalar = n - gf2.row_reduce(gold_map(ctx, t, k, bi, ci).cols, n)[0]
         if s_scalar != s_folded or fw * fw not in (0, 1 << (n + s_scalar)):
@@ -333,18 +335,16 @@ def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
     return s, us, size, s0, s1, fw, ok
 
 
-def _triple_chunks(order: int, exhaustive: bool, samples: int, rng: random.Random):
-    """(a, b, c) arrays of at most _CHUNK_CELLS / 2^n triples: exhaustive in
-    (b, c, a) order, or drawn from rng, one _draw_triples call per chunk."""
-    chunk = max(1, _CHUNK_CELLS // order)
-    total = order * (order - 1) ** 2 if exhaustive else samples
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        if exhaustive:
-            rest = idx // order
-            yield idx % order, 1 + rest // (order - 1), 1 + rest % (order - 1)
-        else:
-            yield _draw_triples(rng, order, idx.size)
+def _kasami_reps(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
+    """The keys, a, b, c and weights of the triples that stand for every
+    (a, b, c) in L x L* x L*, in ascending key b * 2^n + c: (0, 1, c) keyed
+    c, then (1, b, c), each weighted 2^n - 1 scalings times its orbit."""
+    n, mask = ctx.n, ctx.order - 1
+    pairs = np.flatnonzero(np.arange(ctx.order << n) & mask)  # (b, c) in L x L*, as keys
+    sizes = np.bincount(coset_leaders(ctx, pairs & mask, pairs >> n), minlength=ctx.order << n)
+    keys = np.flatnonzero(sizes)
+    a = (keys > mask).astype(np.int64)
+    return keys, a, np.where(a == 1, keys >> n, 1), keys & mask, ctx.group_order * sizes[keys]
 
 
 def kasami_kernel_scan(
@@ -357,22 +357,27 @@ def kasami_kernel_scan(
 ) -> KasamiKernelSummary:
     """Verify the kasami5 kernel machinery on sampled or exhaustive triples.
 
-    exhaustive=None picks exhaustive (a, b, c) at n = 5 and sampling above.
+    exhaustive=None picks exhaustive at n <= 9, the triples of `_kasami_reps`
+    and samples of their fold, and sampling above.
     keep_reports bounds how many per-triple reports are retained (0 = none,
     negative = all).
     """
     if pair.family != "kasami5":
         raise ValueError("kasami kernel scan expects a kasami5 pair")
     k = pair.param
-    order = ctx.order
+    n, order, N = ctx.n, ctx.order, ctx.group_order
     if exhaustive is None:
-        exhaustive = ctx.n == 5
+        exhaustive = n <= 9
+    if exhaustive and (pair.d1, pair.d2) != family_exponents(FamilySpec("kasami5", k), n):
+        raise ValueError(f"kernel scan expects the exponents of kasami5, got {pair.d1, pair.d2}")
+    if exhaustive and n > 11:
+        raise ValueError(f"the exhaustive kasami5 scan keys 2^(2n) pairs (b, c): n <= 11, got {n}")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
     rng = random.Random(seed)
 
     # The substitution x -> x^(2^k+1) must be a permutation of L.
-    sub = ctx.pow_array(np.arange(order), pow(2, k, ctx.group_order) + 1)
+    sub = ctx.pow_array(np.arange(order), pow(2, k, N) + 1)
     permutation_ok = len(set(sub.tolist())) == order
 
     # Summing the substituted form Q(x) over all x must reproduce the
@@ -382,12 +387,15 @@ def kasami_kernel_scan(
     totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
     substitution_ok = bool((totals == transform_single(ctx, pair, a, b, c)).all())
 
+    if exhaustive:
+        keys, *reps, weights = _kasami_reps(ctx)
     failures: list[tuple[int, int, int]] = []
     reports: list[KernelReport] = []
     s0_nonzero: set[int] = set()
     max_s = 0
-    checked = 0
-    for a, b, c in _triple_chunks(order, exhaustive, samples, rng):
+    for part in _batches(n + 5, keys.size if exhaustive else samples):
+        a, b, c = ((x[part] for x in reps) if exhaustive
+                   else _draw_triples(rng, order, part.stop - part.start))
         s, kernels, size, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
         keep = len(a) if keep_reports < 0 else min(len(a), keep_reports - len(reports))
         ends = np.cumsum(size[:keep]).tolist()
@@ -396,14 +404,24 @@ def kasami_kernel_scan(
                 int(a[i]), int(b[i]), int(c[i]), int(s[i]), kernels[end - size[i]:end].tolist(),
                 int(s0[i]), int(s1[i]), int(fw[i]), bool(ok[i]),
             ))
-        checked += len(a)
         max_s = max(max_s, int(s.max()))
         s0_nonzero.update(s0[fw != 0].tolist())
         failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
+
+    if exhaustive:
+        a, b, c = _draw_triples(rng, order, _ORACLE_SAMPLES)
+        lam = np.where(a, ctx.pow_array(a, N - 1), ctx.pow_array(b, -pow(pair.d1, -1, N) % N))
+        bs = np.where(a, ctx.mul_array(b, ctx.pow_array(lam, pair.d1)), 0)
+        key = coset_leaders(ctx, ctx.mul_array(c, ctx.pow_array(lam, pair.d2)), bs)
+        rep = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        s, _, *values, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        r_s, _, *r_values, _ = _check_kasami_chunk(ctx, pair, k, *(x[rep] for x in reps))
+        ok &= (keys[rep] == key) & (np.stack([s, *values]) == np.stack([r_s, *r_values])).all(0)
+        failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
     return KasamiKernelSummary(
-        n=ctx.n,
+        n=n,
         k=k,
-        triples_checked=checked,
+        triples_checked=int(weights.sum()) if exhaustive else samples,
         exhaustive=exhaustive,
         permutation_ok=permutation_ok,
         substitution_ok=substitution_ok,

@@ -166,20 +166,22 @@ def _as_histogram(order: int, counts: np.ndarray) -> dict[int, int]:
     return {int(2 * i - order): int(cnt) for i, cnt in enumerate(counts) if cnt}
 
 
-def _batches(n: int, cs: np.ndarray):
-    """cs in order, in slices of at most _BATCH_CELLS >> n rows."""
+def _batches(n: int, count: int):
+    """range(count) in order, in slices of at most _BATCH_CELLS >> n rows."""
     step = max(1, _BATCH_CELLS >> n)
-    for lo in range(0, cs.size, step):
-        yield slice(lo, lo + step)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
-def coset_leaders(ctx: FieldCtx, cs) -> np.ndarray:
-    """The smallest element of the cyclotomic coset {c, c^2, c^4, ...} of
-    each c in cs."""
-    low = cur = np.asarray(cs)
+def coset_leaders(ctx: FieldCtx, cs, bs=0) -> np.ndarray:
+    """The least b * 2^n + c over the Frobenius orbit {(b^(2^j), c^(2^j))}
+    of each pair of bs and cs; at b = 0, the smallest element of the
+    cyclotomic coset {c, c^2, c^4, ...} of each c in cs."""
+    b, c = np.asarray(bs), np.asarray(cs)
+    low = b << ctx.n | c
     for _ in range(ctx.n - 1):
-        cur = ctx.frobenius_array(cur, 1)
-        low = np.minimum(low, cur)
+        b, c = ctx.frobenius_array(b, 1), ctx.frobenius_array(c, 1)
+        low = np.minimum(low, b << ctx.n | c)
     return low
 
 
@@ -224,7 +226,7 @@ def _row_batches(ctx: FieldCtx, f_np, g_np, rows):
     """(b, cs, weights, transform rows) for each `_batches` slice of the
     rows (b, cs, weights), in order."""
     for b, cs, weights in rows:
-        for part in _batches(ctx.n, cs):
+        for part in _batches(ctx.n, cs.size):
             yield b, cs[part], weights[part], transform_rows(ctx, f_np, g_np, b, cs[part])
 
 

@@ -4,6 +4,7 @@ among them the scalar kernel forms (L, Q, G and the polarization identity)
 that the kernel scans evaluate as arrays."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
@@ -41,6 +42,7 @@ from tecc.kernel import (
     KasamiKernelSummary,
     KernelReport,
     LinearizedMap,
+    _check_kasami_chunk,
     _draw_triples,
     _kasami_terms,
     gold_map,
@@ -485,30 +487,80 @@ def scalar_kasami_triple(ctx, pair, k: int, a: int, b: int, c: int):
     return KernelReport(a, b, c, s, kern, s0, s1, fw, ok), ok
 
 
-def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
-                              exhaustive: bool | None = None):
-    """kasami_kernel_scan(keep_reports=-1), one scalar check per triple."""
-    k = pair.param
-    order = ctx.order
-    if exhaustive is None:
-        exhaustive = ctx.n == 5
-    rng = random.Random(seed)
+def _frobenius_orbit_min(ctx, *coeffs) -> tuple[int, ...]:
+    """The least of the tuples (x^(2^j), y^(2^j), ...) over j < n."""
+    return min(tuple(ctx.frobenius(x, j) for x in coeffs) for j in range(ctx.n))
+
+
+def scalar_kasami_reps(ctx) -> list[tuple[int, int, int, int]]:
+    """(a, b, c, weight) for the orbits of squaring and u -> mu*u on
+    L x L* x L*, one Python tuple at a time: (0, 1, c) for each cyclotomic
+    coset of L*, then (1, b, c) for each Frobenius orbit of L* x L*, each
+    in ascending order and weighted 2^n - 1 times its orbit's size."""
+    nonzero = range(1, ctx.order)
+    cosets = Counter(_frobenius_orbit_min(ctx, c) for c in nonzero)
+    orbits = Counter(_frobenius_orbit_min(ctx, b, c) for b in nonzero for c in nonzero)
+    return ([(0, 1, c, ctx.group_order * w) for (c,), w in sorted(cosets.items())]
+            + [(1, b, c, ctx.group_order * w) for (b, c), w in sorted(orbits.items())])
+
+
+def scalar_kasami_fold(ctx, k: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The representative of (a, b, c) in scalar_kasami_reps: the mu with
+    mu^(2^k+1) = 1/a (at a = 0, mu^(2^3k+1) = 1/b), found by search, scales
+    the triple to (1, b', c') or (0, 1, c'), then the orbit's least pair."""
+    def scaled(coeff: int, mu: int, j: int) -> int:
+        return ctx.mul(coeff, ctx.pow(mu, (1 << j * k % ctx.n) + 1))
+
+    lead, j = (a, 1) if a else (b, 3)
+    mu = next(m for m in range(1, ctx.order) if scaled(lead, m, j) == 1)
+    if a:
+        return (1, *_frobenius_orbit_min(ctx, scaled(b, mu, 3), scaled(c, mu, 5)))
+    return (0, 1, *_frobenius_orbit_min(ctx, scaled(c, mu, 5)))
+
+
+def _scalar_substitution_checks(ctx, pair, rng: random.Random) -> tuple[bool, bool]:
+    """permutation_ok and substitution_ok, the latter on rng's next 32 triples."""
+    k, order = pair.param, ctx.order
     permutation_ok = len({ctx.pow(x, (1 << k) + 1) for x in range(order)}) == order
     substitution_ok = all(
         sum(1 - 2 * int(ctx.trace_table[kasami_quadratic(ctx, k, a, b, c, x)])
             for x in range(order)) == transform_single(ctx, pair, a, b, c)
         for a, b, c in zip(*(x.tolist() for x in _draw_triples(rng, order, 32))))
+    return permutation_ok, substitution_ok
+
+
+def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
+                              exhaustive: bool | None = None):
+    """kasami_kernel_scan(keep_reports=-1), one scalar check per triple: in
+    the exhaustive scan, the triples of scalar_kasami_reps, then the
+    64 samples, each against the representative scalar_kasami_fold finds."""
+    k = pair.param
+    order = ctx.order
+    if exhaustive is None:
+        exhaustive = ctx.n <= 9
+    rng = random.Random(seed)
+    permutation_ok, substitution_ok = _scalar_substitution_checks(ctx, pair, rng)
     if exhaustive:
-        triples = [(a, b, c) for b in range(1, order) for c in range(1, order)
-                   for a in range(order)]
+        reps = scalar_kasami_reps(ctx)
+        triples = [rep[:3] for rep in reps]
+        checked = sum(rep[3] for rep in reps)
     else:
         triples = list(zip(*(x.tolist() for x in _draw_triples(rng, order, samples))))
+        checked = samples
     reports = [scalar_kasami_triple(ctx, pair, k, *t)[0] for t in triples]
     failures = [(r.a, r.b, r.c) for r in reports if not r.consistent]
+    if exhaustive:
+        by_triple = {(r.a, r.b, r.c): r for r in reports}
+        for t in zip(*(x.tolist() for x in _draw_triples(rng, order, _ORACLE_SAMPLES))):
+            got, ok = scalar_kasami_triple(ctx, pair, k, *t)
+            want = by_triple[scalar_kasami_fold(ctx, k, *t)]
+            if not ok or (got.s, got.S0_size, got.S1_size, got.Fw) != (
+                    want.s, want.S0_size, want.S1_size, want.Fw):
+                failures.append(t)
     return KasamiKernelSummary(
         n=ctx.n,
         k=k,
-        triples_checked=len(reports),
+        triples_checked=checked,
         exhaustive=exhaustive,
         permutation_ok=permutation_ok,
         substitution_ok=substitution_ok,
@@ -517,6 +569,39 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
         max_s=max(r.s for r in reports),
         failures=failures,
         reports=reports,
+    )
+
+
+def unfolded_kasami_scan(ctx, pair, seed: int = 0):
+    """The exhaustive kasami5 scan without the fold: every (a, b, c) of
+    L x L* x L* in (b, c, a) order through the batched per-triple checks,
+    64 triples at a time.  It keeps no reports."""
+    k, order, chunk = pair.param, ctx.order, 64
+    permutation_ok, substitution_ok = _scalar_substitution_checks(ctx, pair, random.Random(seed))
+    total = order * (order - 1) ** 2
+    failures: list[tuple[int, int, int]] = []
+    s0_sizes: set[int] = set()
+    max_s = 0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        rest = idx // order
+        a, b, c = idx % order, 1 + rest // (order - 1), 1 + rest % (order - 1)
+        s, _, _, s0, _, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        max_s = max(max_s, int(s.max()))
+        s0_sizes.update(s0[fw != 0].tolist())
+        failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
+    return KasamiKernelSummary(
+        n=ctx.n,
+        k=k,
+        triples_checked=total,
+        exhaustive=True,
+        permutation_ok=permutation_ok,
+        substitution_ok=substitution_ok,
+        all_consistent=not failures,
+        s0_sizes_nonzero_fw=s0_sizes,
+        max_s=max_s,
+        failures=failures,
+        reports=[],
     )
 
 

@@ -41,7 +41,7 @@ def command_lines() -> list[str]:
         "build gold2 --n 5",
         "build gold2 --n 5 --format json",
         "kernel gold2 --n 5 --seed 3",
-        "kernel kasami5 --n 7 --seed 3 --samples 200",
+        "kernel kasami5 --n 11 --seed 3 --samples 200",
         "decode-sim gold2 --n 5 --seed 7 --trials 50 --errors 2",
         # refusals, each for one fault
         "distance gold2 --n 9",

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from tecc import (
+    FamilySpec,
     GoldKernelSummary,
     LinearizedMap,
     gold_kernel_scan,
     gold_map,
+    instantiate,
     kasami_kernel_scan,
     transform_single,
 )
@@ -32,8 +34,11 @@ from helpers import (
     pair_with_g7,
     quadratic_pair_identity,
     scalar_gold_kernel_scan,
+    scalar_kasami_fold,
     scalar_kasami_kernel_scan,
+    scalar_kasami_reps,
     scalar_kasami_triple,
+    unfolded_kasami_scan,
 )
 
 # s value distribution over all (b, c) in L* x L* with k = 1, frozen from
@@ -198,7 +203,8 @@ def test_gold_quadratic_square_identity():
 
 def test_kasami_scan_sampled_n7():
     ctx = get_ctx(7)
-    summary = kasami_kernel_scan(ctx, get_pair("kasami5", 7), samples=1500, seed=3)
+    summary = kasami_kernel_scan(ctx, get_pair("kasami5", 7), samples=1500, seed=3,
+                                 exhaustive=False)
     assert summary.permutation_ok
     assert summary.substitution_ok
     assert summary.all_consistent
@@ -421,45 +427,173 @@ def test_kasami_scan_failures_match_scalar_oracle():
                                                 exhaustive=False)
 
 
+def _kasami_samples(ctx, seed=0):
+    """The (a, b, c) that the exhaustive kasami_kernel_scan samples at this
+    seed, drawn after the substitution check's 32."""
+    rng = random.Random(seed)
+    kernel._draw_triples(rng, ctx.order, 32)
+    drawn = kernel._draw_triples(rng, ctx.order, kernel._ORACLE_SAMPLES)
+    return list(zip(*(x.tolist() for x in drawn)))
+
+
+@pytest.mark.parametrize("n, count", [(5, 200), (7, 2324), (9, 29084)])
+def test_kasami_reps_stand_for_every_triple(n, count):
+    # one (0, 1, c) per cyclotomic coset and one (1, b, c) per Frobenius
+    # orbit of L* x L*, ascending by key, weighted to 2^n (2^n - 1)^2 in all;
+    # at n = 5 and 7 the Python-tuple orbits give the same list
+    ctx = get_ctx(n)
+    keys, a, b, c, weights = kernel._kasami_reps(ctx)
+    assert keys.size == count and (np.diff(keys) > 0).all()
+    assert int(weights.sum()) == ctx.order * ctx.group_order ** 2
+    assert (keys == np.where(a == 1, b << n, 0) + c).all()
+    if n < 9:
+        assert list(zip(a.tolist(), b.tolist(), c.tolist(), weights.tolist())) == (
+            scalar_kasami_reps(ctx))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kasami_scan_is_exhaustive_by_default_to_n9(n, k):
+    # and samples at n = 11, where 20 draws need not meet |S0| = 8
+    ctx = get_ctx(n)
+    pair = instantiate(FamilySpec("kasami5", k), ctx)
+    summary = kasami_kernel_scan(ctx, pair, samples=20)
+    assert summary.exhaustive == (n <= 9)
+    assert summary.triples_checked == (ctx.order * ctx.group_order ** 2 if n <= 9 else 20)
+    assert summary.all_consistent and summary.permutation_ok and summary.substitution_ok
+    assert summary.s0_sizes_nonzero_fw <= {2, 8}
+    assert summary.s0_sizes_nonzero_fw == {2, 8} or n > 9
+
+
 def test_kasami_exhaustive_order_and_reports_n5():
-    ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    # the representatives in fold order, a = 0 first by ascending c, then
+    # a = 1 by ascending (b, c), each report equal to the scalar one (k = 2;
+    # the chunk-boundary test below covers k = 1)
+    ctx = get_ctx(5)
+    pair = instantiate(FamilySpec("kasami5", 2), ctx)
     summary = kasami_kernel_scan(ctx, pair, keep_reports=-1)
-    triples = [(r.a, r.b, r.c) for r in summary.reports]
-    assert triples == [(a, b, c) for b in range(1, 32) for c in range(1, 32) for a in range(32)]
-    for rep in summary.reports[::97]:
-        assert rep == scalar_kasami_triple(ctx, pair, 1, rep.a, rep.b, rep.c)[0]
+    assert [(r.a, r.b, r.c) for r in summary.reports] == [t[:3] for t in scalar_kasami_reps(ctx)]
+    for rep in summary.reports:
+        assert rep == scalar_kasami_triple(ctx, pair, 2, rep.a, rep.b, rep.c)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_kasami_fold_matches_the_unfolded_scan_n5(k):
+    # the representatives and their weights stand for all 30,752 triples
+    # that the unfolded (b, c, a) scan checks one by one
+    ctx = get_ctx(5)
+    pair = instantiate(FamilySpec("kasami5", k), ctx)
+    folded = kasami_kernel_scan(ctx, pair)
+    unfolded = unfolded_kasami_scan(ctx, pair)
+    fields = ("triples_checked", "max_s", "s0_sizes_nonzero_fw", "all_consistent",
+              "permutation_ok", "substitution_ok")
+    assert {f: getattr(folded, f) for f in fields} == {f: getattr(unfolded, f) for f in fields}
+    assert unfolded.triples_checked == 32 * 31 * 31 and unfolded.s0_sizes_nonzero_fw == {2, 8}
 
 
 def test_kasami_scan_flags_a_kernel_size_off_its_rank(monkeypatch):
     # a rank one short makes 2^s twice |K| for every triple; only the check
-    # of the zero count of L against the rank of its columns can see it
+    # of the zero count of L against the rank of its columns can see it:
+    # every representative fails, in fold order, then every sample
     rank_array = kernel.gf2.rank_array
     monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
-    summary = kasami_kernel_scan(get_ctx(5), get_pair("kasami5", 5))
+    ctx = get_ctx(5)
+    summary = kasami_kernel_scan(ctx, get_pair("kasami5", 5))
     assert not summary.all_consistent
-    assert summary.failures == [(a, b, c) for b in range(1, 32) for c in range(1, 32)
-                                for a in range(32)]
+    assert summary.failures == [t[:3] for t in scalar_kasami_reps(ctx)] + _kasami_samples(ctx)
 
 
 def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
-    # 2^7 cells make chunks of 4 triples at n = 5, so the kernel cells that
-    # np.nonzero gathers span many chunk boundaries
+    # 2^12 cells make batches of 4 triples at n = 5, so the kernel cells that
+    # np.nonzero gathers span many batch boundaries.  The scalar oracle
+    # checks every representative and folds every sample by search, those
+    # with a = 0 through b as well
     ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    assert any(a == 0 for a, _, _ in _kasami_samples(ctx))
     default = kasami_kernel_scan(ctx, pair, keep_reports=-1)
-    monkeypatch.setattr(kernel, "_CHUNK_CELLS", 1 << 7)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 12)
     small = kasami_kernel_scan(ctx, pair, keep_reports=-1)
     assert small == default
-    assert small.triples_checked == len(small.reports) == 32 * 31 * 31
+    assert small.triples_checked == 32 * 31 * 31 and len(small.reports) == 200
     assert small == scalar_kasami_kernel_scan(ctx, pair)
 
 
+def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch):
+    # batches of 4 representatives at n = 7, and every triple with 3 | c
+    # marked failing: the failing representatives of many batches come back
+    # in fold order, then the failing samples in draw order
+    ctx, pair = get_ctx(7), get_pair("kasami5", 7)
+    check = kernel._check_kasami_chunk
+
+    def marked(ctx, pair, k, a, b, c):
+        *rest, ok = check(ctx, pair, k, a, b, c)
+        return (*rest, ok & (c % 3 != 0))
+
+    monkeypatch.setattr(kernel, "_check_kasami_chunk", marked)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 14)
+    summary = kasami_kernel_scan(ctx, pair)
+    reps = [t[:3] for t in scalar_kasami_reps(ctx) if t[2] % 3 == 0]
+    sampled = [t for t in _kasami_samples(ctx) if t[2] % 3 == 0]
+    assert len(reps) > 4 * 4 and sampled
+    assert summary.failures == reps + sampled
+    assert summary.triples_checked == ctx.order * ctx.group_order ** 2
+
+
+def test_kasami_scan_checks_the_fold_on_its_samples(monkeypatch):
+    # the leaders of (b, g * c) instead of (b, c) still key one triple per
+    # orbit, each of which passes, but not the orbit of the sample's fold:
+    # the samples whose values differ there must fail, the representatives
+    # must not
+    ctx, pair = get_ctx(7), get_pair("kasami5", 7)
+    leaders = spectrum.coset_leaders
+    monkeypatch.setattr(kernel, "coset_leaders", lambda ctx, cs, bs=0: leaders(
+        ctx, ctx.mul_array(cs, ctx.generator), bs))
+    summary = kasami_kernel_scan(ctx, pair)
+    sampled = _kasami_samples(ctx)
+    assert summary.triples_checked == ctx.order * ctx.group_order ** 2
+    assert 0 < len(summary.failures) < len(sampled)
+    assert set(summary.failures) <= set(sampled)
+
+
+def test_kasami_scan_fails_a_sample_whose_orbit_it_did_not_check(monkeypatch):
+    # every other representative dropped: the samples that fold onto a
+    # dropped one must fail, even where a neighbour shares their values
+    ctx, pair = get_ctx(5), get_pair("kasami5", 5)
+    reps = kernel._kasami_reps
+    monkeypatch.setattr(kernel, "_kasami_reps", lambda ctx: tuple(x[::2] for x in reps(ctx)))
+    summary = kasami_kernel_scan(ctx, pair, keep_reports=-1)
+    kept = {(r.a, r.b, r.c) for r in summary.reports}
+    dropped = [t for t in _kasami_samples(ctx) if scalar_kasami_fold(ctx, 1, *t) not in kept]
+    assert len(summary.reports) == 100 and dropped
+    assert summary.failures == dropped
+
+
+def test_kasami_exhaustive_scan_refuses_exponents_off_its_family():
+    # L and the fold both assume the kasami5 exponents; g = x^7 is not one.
+    # The sampled scan still takes the pair and reports its failures
+    ctx, bad = pair_with_g7("kasami5")
+    with pytest.raises(ValueError, match="exponents"):
+        kasami_kernel_scan(ctx, bad)
+    assert not kasami_kernel_scan(ctx, bad, samples=10, exhaustive=False).substitution_ok
+
+
+def test_kasami_exhaustive_scan_refuses_n_above_11(monkeypatch):
+    # the (b, c) table has 2^(2n) entries: refused before it is built
+    def unbuilt(ctx):
+        raise AssertionError("the representatives were built")
+
+    monkeypatch.setattr(kernel, "_kasami_reps", unbuilt)
+    with pytest.raises(ValueError, match="n <= 11"):
+        kasami_kernel_scan(get_ctx(13), get_pair("kasami5", 13), exhaustive=True)
+
+
 def test_kasami_sampled_chunks_draw_what_one_draw_does(monkeypatch):
-    # 2^9 cells make chunks of 4 triples at n = 7, one draw each; they must
-    # sample the triples that the default chunks of 512 do
+    # 2^14 cells make batches of 4 triples at n = 7, one draw each; they
+    # must sample the triples that the default batches of 512 do
     ctx, pair = get_ctx(7), get_pair("kasami5", 7)
     options = dict(samples=1000, seed=4, exhaustive=False, keep_reports=-1)
     default = kasami_kernel_scan(ctx, pair, **options)
-    monkeypatch.setattr(kernel, "_CHUNK_CELLS", 1 << 9)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 14)
     assert kasami_kernel_scan(ctx, pair, **options) == default
 
 

@@ -1,16 +1,19 @@
 """The library holds only code that runs, the CLI runs the certification
 chain from one place, every transform row comes from one entry point, and
-the README's example runs.
+the README's examples run.
 
 A function that only the tests call is a test oracle and lives in
-`tests/helpers.py`; the README's `Library` block is run as written, so a
-cut in the public API cannot leave it stale.
+`tests/helpers.py`; the README's `Library` and `CLI` blocks are run as
+written, so a cut in the public API or a CLI contract cannot leave them
+stale.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from tecc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tecc"
@@ -61,6 +64,20 @@ def test_readme_library_example_runs():
     assert (scope["rank"], scope["dim"]) == (21, 106)
     assert scope["result"].status == "corrected"
     assert scope["result"].corrected_word == scope["encode"](scope["gen"], 12345)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every `tecc ...` line of the README's `CLI` block exits 0, run
+    # in-process in a scratch directory (`build --out H.txt` writes there)
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    assert len(lines) > 5 and all(line[0] == "tecc" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    exits = {" ".join(line): main(line[1:]) for line in lines}
+    capsys.readouterr()
+    assert exits == dict.fromkeys(exits, 0)
+    assert (tmp_path / "H.txt").exists()
 
 
 def test_transform_rows_is_the_one_transform_entry_point():
