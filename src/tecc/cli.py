@@ -18,6 +18,7 @@ import os
 import random
 import sys
 
+from . import kernel
 from .code import (
     RankDefect,
     build_parity_check,
@@ -32,7 +33,6 @@ from .decoder import build_pair_index, decode
 from .field import FieldCtx, make_ctx
 from .functions import (FAMILY_NAMES, ConditionViolated, DegeneratePair, FamilySpec, MonomialPair,
                         instantiate, is_apn)
-from .kernel import gold_kernel_scan, kasami_kernel_scan
 from .macwilliams import NonIntegralResult, check_length, macwilliams_transform, verify_distance7
 from .spectrum import full_spectrum
 
@@ -144,14 +144,14 @@ def cmd_kernel(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) ->
     if config.family in ("gold2", "gold3"):
         if config.samples is not None:
             raise ValueError(f"--samples: the {config.family} scan checks every (b, c)")
-        summary = gold_kernel_scan(ctx, pair, seed=fork_seed(config.seed, "kernel"))
+        summary = kernel.gold_kernel_scan(ctx, pair, seed=fork_seed(config.seed, "kernel"))
         _emit(config, summary.to_json_dict())
         return 0 if summary.all_consistent else 1
     if config.family == "kasami5":
-        # the scan is exhaustive at n <= 9 and samples above
-        if config.samples is not None and config.n <= 9:
-            raise ValueError("--samples: the kasami5 scan at n <= 9 checks every (a, b, c)")
-        summary = kasami_kernel_scan(
+        top = kernel.KASAMI_EXHAUSTIVE_MAX_N
+        if config.samples is not None and config.n <= top:
+            raise ValueError(f"--samples: the kasami5 scan at n <= {top} checks every (a, b, c)")
+        summary = kernel.kasami_kernel_scan(
             ctx, pair,
             samples=10_000 if config.samples is None else config.samples,
             seed=fork_seed(config.seed, "kernel"),

@@ -46,9 +46,10 @@ import numpy as np
 from . import gf2
 from .field import FieldCtx
 from .functions import FamilySpec, MonomialPair, family_exponents
-from .spectrum import _batches, _row_batches, coset_leaders, orbit_rows, transform_single
+from .spectrum import _batches, _row_batches, fold_keys, frobenius_reps, orbit_rows, transform_single
 
 _ORACLE_SAMPLES = 64  # (a, b, c) each exhaustive scan cross-checks against its fold
+KASAMI_EXHAUSTIVE_MAX_N = 9  # the kasami5 scan checks every triple up to this n by default
 
 
 @dataclass
@@ -209,9 +210,9 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
 
     Seeded samples (a, b, c) check the scan and its fold against the scalar
     oracles: F by the naive sum, and s = n - rank of L_(b,c) by Python-int
-    elimination, which must equal the scan's s at the coset leader of
-    c' = lambda^d2 * c, lambda = b^(-1/d1), the representative that (b, c)
-    folds onto.  Their failures follow the scan's.
+    elimination, which must equal the scan's s at the representative that
+    `spectrum.fold_keys` folds (0, b, c) onto, the coset leader of
+    c' = lambda^d2 * c, lambda = b^(-1/d1).  Their failures follow the scan's.
     """
     if pair.family not in ("gold2", "gold3"):
         raise ValueError(f"kernel scan expects a gold2 or gold3 pair, got {pair.family}")
@@ -237,8 +238,7 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
         s_of[cs] = s
 
     a, b, c = _draw_triples(random.Random(seed), ctx.order, _ORACLE_SAMPLES)
-    lam = ctx.pow_array(b, -pow(pair.d1, -1, ctx.group_order) % ctx.group_order)
-    folded = s_of[coset_leaders(ctx, ctx.mul_array(ctx.pow_array(lam, pair.d2), c))]
+    folded = s_of[fold_keys(ctx, pair, 0, b, c)]
     # a naive-sum cell holds about three int64 temporaries against a row
     # cell's 4 bytes, so its slices are 2^3 times shorter than the rows'
     fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p])
@@ -339,12 +339,9 @@ def _kasami_reps(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
     """The keys, a, b, c and weights of the triples that stand for every
     (a, b, c) in L x L* x L*, in ascending key b * 2^n + c: (0, 1, c) keyed
     c, then (1, b, c), each weighted 2^n - 1 scalings times its orbit."""
-    n, mask = ctx.n, ctx.order - 1
-    pairs = np.flatnonzero(np.arange(ctx.order << n) & mask)  # (b, c) in L x L*, as keys
-    sizes = np.bincount(coset_leaders(ctx, pairs & mask, pairs >> n), minlength=ctx.order << n)
-    keys = np.flatnonzero(sizes)
-    a = (keys > mask).astype(np.int64)
-    return keys, a, np.where(a == 1, keys >> n, 1), keys & mask, ctx.group_order * sizes[keys]
+    keys, sizes = frobenius_reps(ctx, ctx.order)
+    a = (keys >= ctx.order).astype(np.int64)
+    return keys, a, np.where(a == 1, keys >> ctx.n, 1), keys % ctx.order, ctx.group_order * sizes
 
 
 def kasami_kernel_scan(
@@ -357,8 +354,8 @@ def kasami_kernel_scan(
 ) -> KasamiKernelSummary:
     """Verify the kasami5 kernel machinery on sampled or exhaustive triples.
 
-    exhaustive=None picks exhaustive at n <= 9, the triples of `_kasami_reps`
-    and samples of their fold, and sampling above.
+    exhaustive=None picks exhaustive at n <= KASAMI_EXHAUSTIVE_MAX_N, the
+    triples of `_kasami_reps` and samples of their fold, and sampling above.
     keep_reports bounds how many per-triple reports are retained (0 = none,
     negative = all).
     """
@@ -367,11 +364,12 @@ def kasami_kernel_scan(
     k = pair.param
     n, order, N = ctx.n, ctx.order, ctx.group_order
     if exhaustive is None:
-        exhaustive = n <= 9
+        exhaustive = n <= KASAMI_EXHAUSTIVE_MAX_N
     if exhaustive and (pair.d1, pair.d2) != family_exponents(FamilySpec("kasami5", k), n):
         raise ValueError(f"kernel scan expects the exponents of kasami5, got {pair.d1, pair.d2}")
     if exhaustive and n > 11:
-        raise ValueError(f"the exhaustive kasami5 scan keys 2^(2n) pairs (b, c): n <= 11, got {n}")
+        raise ValueError("the exhaustive kasami5 scan checks about 2^(2n)/n orbits (b, c), 5M at"
+                         f" n = 13 in an estimated half hour: n <= 11, got {n}")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
     rng = random.Random(seed)
@@ -410,9 +408,7 @@ def kasami_kernel_scan(
 
     if exhaustive:
         a, b, c = _draw_triples(rng, order, _ORACLE_SAMPLES)
-        lam = np.where(a, ctx.pow_array(a, N - 1), ctx.pow_array(b, -pow(pair.d1, -1, N) % N))
-        bs = np.where(a, ctx.mul_array(b, ctx.pow_array(lam, pair.d1)), 0)
-        key = coset_leaders(ctx, ctx.mul_array(c, ctx.pow_array(lam, pair.d2)), bs)
+        key = fold_keys(ctx, pair, a, b, c)
         rep = np.minimum(np.searchsorted(keys, key), keys.size - 1)
         s, _, *values, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
         r_s, _, *r_values, _ = _check_kasami_chunk(ctx, pair, k, *(x[rep] for x in reps))

@@ -173,24 +173,38 @@ def _batches(n: int, count: int):
         yield slice(lo, min(lo + step, count))
 
 
-def coset_leaders(ctx: FieldCtx, cs, bs=0) -> np.ndarray:
-    """The least b * 2^n + c over the Frobenius orbit {(b^(2^j), c^(2^j))}
-    of each pair of bs and cs; at b = 0, the smallest element of the
-    cyclotomic coset {c, c^2, c^4, ...} of each c in cs."""
-    b, c = np.asarray(bs), np.asarray(cs)
-    low = b << ctx.n | c
-    for _ in range(ctx.n - 1):
-        b, c = ctx.frobenius_array(b, 1), ctx.frobenius_array(c, 1)
-        low = np.minimum(low, b << ctx.n | c)
-    return low
+def frobenius_orbits(ctx: FieldCtx, cs, bs=0) -> tuple[np.ndarray, np.ndarray]:
+    """The least key b * 2^n + c over the Frobenius orbit {(b^(2^j), c^(2^j))}
+    of each pair of bs and cs, and the orbit's size, n over the number of j
+    in [0, n) that fix the pair; at b = 0, the cyclotomic coset of c."""
+    b, c, fixed = np.asarray(bs), np.asarray(cs), 1
+    key = low = b << ctx.n | c
+    for j in range(1, ctx.n):
+        image = ctx.frobenius_array(b, j) << ctx.n | ctx.frobenius_array(c, j)
+        low, fixed = np.minimum(low, image), fixed + (image == key)
+    return low, ctx.n // fixed
 
 
-def cyclotomic_cosets(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclotomic cosets of L*: each coset's smallest element,
-    ascending, and the coset's size."""
-    sizes = np.bincount(coset_leaders(ctx, np.arange(1, ctx.order)), minlength=ctx.order)
-    reps = np.flatnonzero(sizes)
-    return reps, sizes[reps]
+def frobenius_reps(ctx: FieldCtx, nb: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The Frobenius orbits of the pairs (b, c), b < nb (1 or 2^n) and c in
+    L*: each orbit's least key b * 2^n + c, ascending, and its size, from
+    blocks of _BATCH_CELLS >> 5 keys, keeping each key that leads its orbit."""
+    mask, found = ctx.order - 1, []
+    for part in _batches(5, nb << ctx.n):
+        keys = part.start + np.flatnonzero(np.arange(part.start, part.stop) & mask)
+        leaders, sizes = frobenius_orbits(ctx, keys & mask, keys >> ctx.n)
+        found.append((keys[leaders == keys], sizes[leaders == keys]))
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
+def fold_keys(ctx: FieldCtx, pair: MonomialPair, a, b, c) -> np.ndarray:
+    """The key of the orbit that x -> lambda*x, lambda = 1/a (or b^(-1/d1)
+    at a = 0), and squaring fold each (a, b, c) onto: (1, lambda^d1*b,
+    lambda^d2*c) keyed as a pair, and (0, 1, lambda^d2*c) keyed by c."""
+    N = ctx.group_order
+    lam = np.where(a, ctx.pow_array(a, N - 1), ctx.pow_array(b, -pow(pair.d1, -1, N) % N))
+    bs = np.where(a, ctx.mul_array(b, ctx.pow_array(lam, pair.d1)), 0)
+    return frobenius_orbits(ctx, ctx.mul_array(c, ctx.pow_array(lam, pair.d2)), bs)[0]
 
 
 def scaling_reps(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, int]:
@@ -215,7 +229,7 @@ def orbit_rows(ctx: FieldCtx, d1: int):
     equivalent one, so they keep the gold kernel dimension s as well.
     """
     bs, per_b = scaling_reps(ctx, d1)
-    reps, sizes = cyclotomic_cosets(ctx)
+    reps, sizes = frobenius_reps(ctx)
     yield 1, reps, sizes * per_b
     cs = np.arange(1, ctx.order)
     for b in bs[1:].tolist():

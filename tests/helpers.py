@@ -47,7 +47,7 @@ from tecc.kernel import (
     _kasami_terms,
     gold_map,
 )
-from tecc.spectrum import allowed_values, transform_rows, transform_single
+from tecc.spectrum import allowed_values, frobenius_orbits, transform_rows, transform_single
 
 FAMILIES = ("gold2", "gold3", "th", "kasami5")
 
@@ -502,6 +502,20 @@ def scalar_kasami_reps(ctx) -> list[tuple[int, int, int, int]]:
     orbits = Counter(_frobenius_orbit_min(ctx, b, c) for b in nonzero for c in nonzero)
     return ([(0, 1, c, ctx.group_order * w) for (c,), w in sorted(cosets.items())]
             + [(1, b, c, ctx.group_order * w) for (b, c), w in sorted(orbits.items())])
+
+
+def oneshot_kasami_reps(ctx) -> tuple[np.ndarray, ...]:
+    """The keys, a, b, c and weights of kernel._kasami_reps, built in one
+    shot: the leader of every (b, c) in L x L* at once, keyed b * 2^n + c,
+    and one np.bincount of them over the whole 2^(2n) key space, each
+    orbit's size being its leader's count."""
+    n, mask = ctx.n, ctx.order - 1
+    pairs = np.flatnonzero(np.arange(ctx.order << n) & mask)
+    leaders = frobenius_orbits(ctx, pairs & mask, pairs >> n)[0]
+    sizes = np.bincount(leaders, minlength=ctx.order << n)
+    keys = np.flatnonzero(sizes)
+    a = (keys > mask).astype(np.int64)
+    return keys, a, np.where(a == 1, keys >> n, 1), keys & mask, ctx.group_order * sizes[keys]
 
 
 def scalar_kasami_fold(ctx, k: int, a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tecc import kernel
 from tecc.cli import fork_seed, main
 
 # The options each command reads besides FAMILY and the shared ones.
@@ -223,6 +224,19 @@ def test_kernel_refuses_samples_where_the_scan_checks_everything(capsys, family,
     record = json.loads(out)
     assert record["error"] == "ValueError"
     assert "--samples" in record["message"]
+
+
+def test_kernel_samples_refusal_moves_with_the_exhaustive_threshold(capsys, monkeypatch):
+    # one constant sets both where the kasami5 scan stops checking every
+    # triple and where --samples is refused
+    monkeypatch.setattr(kernel, "KASAMI_EXHAUSTIVE_MAX_N", 7)
+    code, out = run_cli(capsys, "kernel", "kasami5", "--n", "9", "--samples", "50",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["exhaustive"] is False
+    code, out = run_cli(capsys, "kernel", "kasami5", "--n", "7", "--samples", "5")
+    assert code == 2
+    assert "n <= 7" in json.loads(out)["message"]
 
 
 def test_distance_beyond_oracle_limit_rejected(capsys):

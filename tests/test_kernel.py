@@ -31,6 +31,7 @@ from helpers import (
     kasami_quadratic,
     kernel_basis,
     kernel_of,
+    oneshot_kasami_reps,
     pair_with_g7,
     quadratic_pair_identity,
     scalar_gold_kernel_scan,
@@ -323,7 +324,7 @@ def test_gold_scan_failures_keep_their_order_across_batches(monkeypatch, family)
     # so |F| misses 2^((n+s)/2): the failing (1, c) of many batches come
     # back in ascending c, and the samples, which read no row, all pass
     ctx, pair = get_ctx(7), get_pair(family, 7)
-    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    reps = spectrum.frobenius_reps(ctx)[0]
     bad = reps[::3]
     rows = spectrum.transform_rows
     monkeypatch.setattr(spectrum, "transform_rows", lambda ctx, f, g, b, cs: (
@@ -344,7 +345,7 @@ def test_gold_scan_flags_values_off_the_odd_s_magnitude(monkeypatch):
     monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 2)
     summary = gold_kernel_scan(ctx, get_pair("gold2", 5))
     assert summary.s_counts == {s + 2: count for s, count in GOLD_N5_S_COUNTS.items()}
-    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    reps = spectrum.frobenius_reps(ctx)[0]
     sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
     assert summary.failures == [(1, c) for c in reps.tolist()] + sampled
 
@@ -358,7 +359,7 @@ def test_gold_scan_flags_nonzero_values_at_even_s(monkeypatch):
     monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
     summary = gold_kernel_scan(ctx, get_pair("gold2", 5))
     assert summary.s_counts == {s + 1: count for s, count in GOLD_N5_S_COUNTS.items()}
-    reps = spectrum.cyclotomic_cosets(ctx)[0]
+    reps = spectrum.frobenius_reps(ctx)[0]
     sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
     assert summary.failures == [(1, c) for c in reps.tolist()] + sampled
 
@@ -397,9 +398,9 @@ def test_gold_scan_checks_the_fold_on_its_samples(monkeypatch):
     # the leader of g * c' instead of c' names a representative of another
     # coset: the samples whose s differs there must fail, the rows must not
     ctx, pair = get_ctx(7), get_pair("gold2", 7)
-    leaders = spectrum.coset_leaders
-    monkeypatch.setattr(kernel, "coset_leaders", lambda ctx, cs: leaders(
-        ctx, ctx.mul_array(cs, ctx.generator)))
+    fold = spectrum.fold_keys
+    monkeypatch.setattr(kernel, "fold_keys", lambda ctx, pair, a, b, c: fold(
+        ctx, pair, a, b, ctx.mul_array(c, ctx.generator)))
     summary = gold_kernel_scan(ctx, pair)
     sampled = [(b, c) for _, b, c in _gold_samples(ctx)]
     assert summary.s_counts == GOLD_N7_S_COUNTS
@@ -449,6 +450,49 @@ def test_kasami_reps_stand_for_every_triple(n, count):
     if n < 9:
         assert list(zip(a.tolist(), b.tolist(), c.tolist(), weights.tolist())) == (
             scalar_kasami_reps(ctx))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_kasami_reps_do_not_depend_on_block_boundaries(monkeypatch, n):
+    # 2^13 cells make blocks of 256 keys, so orbits straddle many block
+    # boundaries; the streamed representatives must equal the one-shot
+    # bincount over the whole key space, array for array
+    ctx = get_ctx(n)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 13)
+    streamed = kernel._kasami_reps(ctx)
+    assert len(list(spectrum._batches(5, ctx.order << n))) == ctx.order ** 2 // 256
+    for got, want in zip(streamed, oneshot_kasami_reps(ctx), strict=True):
+        assert got.tolist() == want.tolist()
+
+
+def test_frobenius_orbit_sizes_match_python_orbits_n9():
+    # GF(8) lies in GF(2^9): its pairs have orbits of size 3, but the pairs
+    # in {0, 1}^2 are fixed; 400 drawn pairs of L x L cover the rest
+    ctx = get_ctx(9)
+    sub = [0] + [ctx.pow(ctx.generator, 73 * i) for i in range(7)]  # x^8 = x
+    rng = random.Random(5)
+    pairs = [(b, c) for b in sub for c in sub]
+    pairs += [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(400)]
+    bs, cs = np.array(pairs).T
+    leaders, sizes = spectrum.frobenius_orbits(ctx, cs, bs)
+    orbits = [{(ctx.frobenius(b, j), ctx.frobenius(c, j)) for j in range(9)} for b, c in pairs]
+    assert leaders.tolist() == [min(b << 9 | c for b, c in orbit) for orbit in orbits]
+    assert sizes.tolist() == [len(orbit) for orbit in orbits]
+    assert sizes[:64].tolist() == [1 if b < 2 and c < 2 else 3 for b, c in pairs[:64]]
+
+
+def test_kasami_reps_stream_their_keys():
+    # the representatives come from blocks of 2^16 keys, not from a table
+    # over all 2^18 (b, c) at n = 9: the one-shot build peaked at 18.2 MiB
+    ctx = get_ctx(9)
+    tracemalloc.start()
+    try:
+        keys = kernel._kasami_reps(ctx)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.size == 29084
+    assert peak < 10 << 20
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -540,14 +584,14 @@ def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch):
 
 
 def test_kasami_scan_checks_the_fold_on_its_samples(monkeypatch):
-    # the leaders of (b, g * c) instead of (b, c) still key one triple per
-    # orbit, each of which passes, but not the orbit of the sample's fold:
-    # the samples whose values differ there must fail, the representatives
-    # must not
+    # folding (a, b, g * c) instead of (a, b, c) keys the orbit of
+    # (b', g * c') instead of (b', c'): still a representative, which
+    # passes, but not the sample's own, so the samples whose values differ
+    # there must fail, the representatives must not
     ctx, pair = get_ctx(7), get_pair("kasami5", 7)
-    leaders = spectrum.coset_leaders
-    monkeypatch.setattr(kernel, "coset_leaders", lambda ctx, cs, bs=0: leaders(
-        ctx, ctx.mul_array(cs, ctx.generator), bs))
+    fold = spectrum.fold_keys
+    monkeypatch.setattr(kernel, "fold_keys", lambda ctx, pair, a, b, c: fold(
+        ctx, pair, a, b, ctx.mul_array(c, ctx.generator)))
     summary = kasami_kernel_scan(ctx, pair)
     sampled = _kasami_samples(ctx)
     assert summary.triples_checked == ctx.order * ctx.group_order ** 2
@@ -578,7 +622,8 @@ def test_kasami_exhaustive_scan_refuses_exponents_off_its_family():
 
 
 def test_kasami_exhaustive_scan_refuses_n_above_11(monkeypatch):
-    # the (b, c) table has 2^(2n) entries: refused before it is built
+    # about 2^(2n)/n orbits (b, c), 5M at n = 13, would take about half an
+    # hour: refused before a single representative is built
     def unbuilt(ctx):
         raise AssertionError("the representatives were built")
 

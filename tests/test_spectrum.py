@@ -10,7 +10,7 @@ import pytest
 from tecc import spectrum
 from tecc.field import SUPPORTED_DEGREES
 from tecc.functions import power_exponent
-from tecc.spectrum import cyclotomic_cosets, transform_rows
+from tecc.spectrum import frobenius_reps, transform_rows
 
 from tecc import (
     MonomialPair,
@@ -300,7 +300,7 @@ def test_single_table_spectrum_matches_rows(family, n):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
     ctx = get_ctx(n)
-    reps, sizes = cyclotomic_cosets(ctx)
+    reps, sizes = frobenius_reps(ctx)
     orbits = set()
     for c in range(1, ctx.order):
         orbit, x = set(), c
