@@ -31,9 +31,9 @@ from .code import (
 )
 from .decoder import build_pair_index, decode
 from .field import FieldCtx, make_ctx
-from .functions import (FAMILY_NAMES, ConditionViolated, DegeneratePair, FamilySpec, MonomialPair,
-                        instantiate, is_apn)
-from .macwilliams import NonIntegralResult, check_length, macwilliams_transform, verify_distance7
+from .functions import FAMILY_NAMES, ConditionViolated, FamilySpec, MonomialPair, instantiate, is_apn
+from .macwilliams import (LENGTH_LIMIT, NonIntegralResult, check_length, macwilliams_transform,
+                          verify_distance7)
 from .spectrum import full_spectrum
 
 
@@ -69,22 +69,12 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _certify(ctx: FieldCtx, pair: MonomialPair,
-             printed: bool = False) -> tuple[dict, tuple | None, Exception | None]:
+def _certify(ctx: FieldCtx, pair: MonomialPair) -> tuple[dict, tuple | None, Exception | None]:
     """The paper's chain to d = 7: records {stage: (pass, detail)}, then the
     (dual, code) distributions or the RankDefect/NonIntegralResult of the
     stage that failed.  Before the scan it refuses a length the transform
-    refuses and, when the distributions are `printed`, too many digits."""
+    refuses."""
     check_length(ctx.group_order)
-    if printed:
-        # Every A_w <= 2^(N - 3n), so this bounds the digits of the widest one.
-        digits = int((ctx.group_order - 3 * ctx.n) * math.log10(2)) + 1
-        limit = sys.get_int_max_str_digits()
-        if 0 < limit < digits:
-            raise ValueError(
-                f"the code distribution's coefficients reach up to {digits} digits, beyond the "
-                f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
-            )
     stages = {"instantiate": (True, f"exponents ({pair.d1}, {pair.d2})")}
     apn = is_apn(ctx, pair.f_table)
     stages["apn"] = (apn, f"x^{pair.d1} differential uniformity <= 2: {apn}")
@@ -157,9 +147,7 @@ def cmd_kernel(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) ->
             seed=fork_seed(config.seed, "kernel"),
             keep_reports=32,
         )
-        payload = summary.to_json_dict()
-        payload["reports"] = [r.to_json_dict() for r in summary.reports]
-        _emit(config, payload)
+        _emit(config, summary.to_json_dict())
         ok = summary.all_consistent and summary.permutation_ok and summary.substitution_ok
         return 0 if ok else 1
     raise ConditionViolated("kernel scans cover the gold2, gold3 and kasami5 families")
@@ -197,7 +185,17 @@ def cmd_distance(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) 
 
 
 def cmd_macwilliams(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
-    stages, dists, error = _certify(ctx, pair, printed=True)
+    # Before the scan: every A_w <= 2^(N - 3n), so this bounds the digits of
+    # the widest coefficient printed.  A length the transform refuses keeps
+    # the length refusal of _certify.
+    digits = int((ctx.group_order - 3 * ctx.n) * math.log10(2)) + 1
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits and ctx.group_order < LENGTH_LIMIT:
+        raise ValueError(
+            f"the code distribution's coefficients reach up to {digits} digits, beyond the "
+            f"int-to-str limit of {limit} (sys.get_int_max_str_digits)"
+        )
+    stages, dists, error = _certify(ctx, pair)
     if error is not None:
         raise error
     dual, dist = dists
@@ -320,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         # flush at exit, to devnull rather than into a second traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConditionViolated, DegeneratePair, RankDefect, NonIntegralResult, ValueError,
-            OSError) as exc:
+    except (NonIntegralResult, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True))
         return 2

@@ -150,6 +150,13 @@ def power_exponent(ctx: FieldCtx, table) -> int | None:
     return d if (ctx.pow_array(np.arange(ctx.order), d) == t).all() else None
 
 
+def gold_shift(ctx: FieldCtx, d: int) -> int | None:
+    """The i in [1, n) with d = 2^i + 1 mod 2^n - 1, so that x^d is the Gold
+    map x^(2^i+1), else None."""
+    N = ctx.group_order
+    return next((i for i in range(1, ctx.n) if (pow(2, i, N) + 1 - d) % N == 0), None)
+
+
 def is_apn(ctx: FieldCtx, table: list[int]) -> bool:
     """True iff every nontrivial derivative takes each value at most twice.
 

@@ -1,14 +1,14 @@
 """Kernels of the linearized maps that control squared transform values.
 
-For the quadratic-exponent pairs {x^(2^k+1), x^(2^(tk)+1)} (families gold2,
-gold3 with t = 2, 3) the squared transform at any a satisfies
+For a pair of Gold exponents {x^(2^i+1), x^(2^j+1)} (families gold2 and
+gold3 are i = k and j = 2k, 3k) the squared transform at any a satisfies
 
     F(a, b, c)^2 = 2^n * sum over u in K of (-1)^Tr(Q(u)),
-    Q(u) = a*u + b*u^(2^k+1) + c*u^(2^(tk)+1),
+    Q(u) = a*u + b*u^(2^i+1) + c*u^(2^j+1),
 
 where K is the kernel of the GF(2)-linear map
 
-    L(u) = b*u^(2^k) + b^(2^-k)*u^(2^-k) + c*u^(2^(tk)) + c^(2^-tk)*u^(2^-tk).
+    L(u) = b*u^(2^i) + b^(2^-i)*u^(2^-i) + c*u^(2^j) + c^(2^-j)*u^(2^-j).
 
 For the kasami5 pair the substitution x -> x^(2^k+1) (a permutation when
 gcd(k, n) = 1) turns the transform into the same shape with
@@ -45,8 +45,9 @@ import numpy as np
 
 from . import gf2
 from .field import FieldCtx
-from .functions import FamilySpec, MonomialPair, family_exponents
-from .spectrum import _batches, _row_batches, fold_keys, frobenius_reps, orbit_rows, transform_single
+from .functions import FamilySpec, MonomialPair, family_exponents, gold_shift
+from .spectrum import (_batches, _row_batches, fold_keys, frobenius_reps, orbit_rows, record,
+                       transform_single)
 
 _ORACLE_SAMPLES = 64  # (a, b, c) each exhaustive scan cross-checks against its fold
 KASAMI_EXHAUSTIVE_MAX_N = 9  # the kasami5 scan checks every triple up to this n by default
@@ -76,10 +77,10 @@ class LinearizedMap:
         return acc
 
 
-def _gold_terms(frob, t: int, k: int, b, c) -> list:
-    """The (coeff, shift) terms of the gold L(u); frob is ctx.frobenius or,
-    for coefficient arrays, ctx.frobenius_array."""
-    return [(b, k), (frob(b, -k), -k), (c, t * k), (frob(c, -t * k), -t * k)]
+def _gold_terms(frob, i: int, j: int, b, c) -> list:
+    """The (coeff, shift) terms of the gold L(u) with shifts (i, j); frob is
+    ctx.frobenius or, for coefficient arrays, ctx.frobenius_array."""
+    return [(b, i), (frob(b, -i), -i), (c, j), (frob(c, -j), -j)]
 
 
 def _kasami_terms(frob, k: int, a, b, c) -> list:
@@ -105,11 +106,11 @@ def _draw_triples(rng: random.Random, order: int, count: int) -> tuple[np.ndarra
     return tuple(drawn.T.astype(np.int64, order="C"))
 
 
-def gold_map(ctx: FieldCtx, t: int, k: int, b: int, c: int) -> LinearizedMap:
-    """The four-term L(u) for the pair {x^(2^k+1), x^(2^(tk)+1)}."""
+def gold_map(ctx: FieldCtx, i: int, j: int, b: int, c: int) -> LinearizedMap:
+    """The four-term L(u) for the pair {x^(2^i+1), x^(2^j+1)}."""
     if b == 0 and c == 0:
         raise ValueError("at least one of b, c must be nonzero")
-    terms = _gold_terms(ctx.frobenius, t, k, b, c)
+    terms = _gold_terms(ctx.frobenius, i, j, b, c)
     return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
 
 
@@ -144,60 +145,44 @@ class KernelReport:
     b: int
     c: int
     s: int
-    kernel_elements: list[int]
-    S0_size: int
-    S1_size: int
+    kernel: list[int]
+    S0: int
+    S1: int
     Fw: int
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "s": self.s,
-            "kernel": self.kernel_elements,
-            "S0": self.S0_size,
-            "S1": self.S1_size,
-            "Fw": self.Fw,
-            "consistent": self.consistent,
-        }
+        return record(self)
 
 
 @dataclass
 class GoldKernelSummary:
-    """Kernel scan results over every (b, c) for a gold2/gold3 pair."""
+    """Kernel scan results over every (b, c) for a pair of Gold exponents;
+    family and k are the pair's labels, None on an unlabelled pair."""
 
-    family: str
+    family: str | None
     n: int
-    k: int
-    pairs_checked: int
+    k: int | None
     max_s: int
     s_counts: dict[int, int]
+    pairs_checked: int
     all_consistent: bool
     failures: list[tuple[int, int]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "k": self.k,
-            "max_s": self.max_s,
-            "s_counts": {str(s): c for s, c in sorted(self.s_counts.items())},
-            "pairs_checked": self.pairs_checked,
-            "all_consistent": self.all_consistent,
-            "failures": self.failures[:16],
-        }
+        return record(self, s_counts={str(s): c for s, c in sorted(self.s_counts.items())},
+                      failures=self.failures[:16])
 
 
-def _gold_cols(ctx: FieldCtx, t: int, k: int, b, c) -> np.ndarray:
-    """The columns L(alpha^j) of the gold map at every (b, c) of the broadcast
+def _gold_cols(ctx: FieldCtx, i: int, j: int, b, c) -> np.ndarray:
+    """The columns L(alpha^m) of the gold map at every (b, c) of the broadcast
     coefficient arrays, one row of n per (b, c)."""
-    return _eval_terms(ctx, _gold_terms(ctx.frobenius_array, t, k, b, c), 1 << np.arange(ctx.n))
+    return _eval_terms(ctx, _gold_terms(ctx.frobenius_array, i, j, b, c), 1 << np.arange(ctx.n))
 
 
 def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKernelSummary:
-    """Scan every (b, c) in L* x L* for a gold2/gold3 pair through the rows
+    """Scan every (b, c) in L* x L* for a pair {x^(2^i+1), x^(2^j+1)}, the
+    shifts read from its exponents by `gold_shift`, through the rows
     `orbit_rows` folds them onto: b = 1 and one c per cyclotomic coset, each
     counted by the (b, c) it stands for.
 
@@ -214,22 +199,17 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
     `spectrum.fold_keys` folds (0, b, c) onto, the coset leader of
     c' = lambda^d2 * c, lambda = b^(-1/d1).  Their failures follow the scan's.
     """
-    if pair.family not in ("gold2", "gold3"):
-        raise ValueError(f"kernel scan expects a gold2 or gold3 pair, got {pair.family}")
-    t = 2 if pair.family == "gold2" else 3
-    k = pair.param
-    if (pair.d1, pair.d2) != family_exponents(FamilySpec(pair.family, k), ctx.n):
-        # L and the fold both assume these exponents
-        raise ValueError(f"kernel scan expects the exponents of {pair.family} with k = {k}, "
-                         f"got ({pair.d1}, {pair.d2})")
+    i, j = shifts = gold_shift(ctx, pair.d1), gold_shift(ctx, pair.d2)
+    if None in shifts:  # L and the fold both assume Gold exponents
+        raise ValueError(f"kernel scan expects Gold exponents 2^i + 1, got ({pair.d1}, {pair.d2})")
     n = ctx.n
     failures: list[tuple[int, int]] = []
     s_freq = np.zeros(n + 1, dtype=np.int64)  # number of (b, c) with each s
     s_of = np.full(ctx.order, -1)
-    # orbit_rows yields the row b = 1 alone, since gcd(2^k + 1, 2^n - 1) = 1
+    # orbit_rows yields the row b = 1 alone, since gcd(2^i + 1, 2^n - 1) = 1
     # for odd n, so s_of holds the s of every representative (1, c)
     for b, cs, weights, values in _row_batches(ctx, pair.f_np, pair.g_np, orbit_rows(ctx, pair.d1)):
-        s = n - gf2.rank_array(_gold_cols(ctx, t, k, b, cs), n)
+        s = n - gf2.rank_array(_gold_cols(ctx, i, j, b, cs), n)
         np.abs(values, out=values)
         m = np.where(s % 2 == 1, 1 << ((n + s) // 2), 0).astype(values.dtype)
         ok = ((values == 0) | (values == m[:, None])).all(axis=1)
@@ -244,17 +224,17 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
     fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p])
                           for p in _batches(n + 3, a.size)])
     for bi, ci, s_folded, fw in zip(b.tolist(), c.tolist(), folded.tolist(), fws.tolist()):
-        s_scalar = n - gf2.row_reduce(gold_map(ctx, t, k, bi, ci).cols, n)[0]
+        s_scalar = n - gf2.row_reduce(gold_map(ctx, i, j, bi, ci).cols, n)[0]
         if s_scalar != s_folded or fw * fw not in (0, 1 << (n + s_scalar)):
             failures.append((bi, ci))
     s_values = np.flatnonzero(s_freq)
     return GoldKernelSummary(
         family=pair.family,
         n=n,
-        k=k,
-        pairs_checked=int(s_freq.sum()),
+        k=pair.param,
         max_s=int(s_values[-1]),
         s_counts=dict(zip(s_values.tolist(), s_freq[s_values].tolist())),
+        pairs_checked=int(s_freq.sum()),
         all_consistent=not failures,
         failures=failures,
     )
@@ -277,18 +257,9 @@ class KasamiKernelSummary:
     reports: list[KernelReport]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "triples_checked": self.triples_checked,
-            "exhaustive": self.exhaustive,
-            "permutation_ok": self.permutation_ok,
-            "substitution_ok": self.substitution_ok,
-            "all_consistent": self.all_consistent,
-            "s0_sizes_nonzero_fw": sorted(self.s0_sizes_nonzero_fw),
-            "max_s": self.max_s,
-            "failures": self.failures[:16],
-        }
+        return record(self, s0_sizes_nonzero_fw=sorted(self.s0_sizes_nonzero_fw),
+                      failures=self.failures[:16],
+                      reports=[r.to_json_dict() for r in self.reports])
 
 
 def _kasami_q_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ come from the naive sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from math import gcd
 
@@ -61,6 +61,12 @@ def allowed_values(n: int) -> set[int]:
     return {0, lo, -lo, hi, -hi}
 
 
+def record(obj, **override) -> dict:
+    """A dataclass's fields by name, in declaration order, with the values of
+    override in place of theirs; shallow, so no list is copied."""
+    return {f.name: override.get(f.name, getattr(obj, f.name)) for f in fields(obj)}
+
+
 @dataclass
 class SpectrumReport:
     """Histogram of transform values over all (a, b, c) with b, c nonzero."""
@@ -70,11 +76,8 @@ class SpectrumReport:
     witness: tuple[int, int, int] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "histogram": [[v, c] for v, c in sorted(self.histogram.items())],
-            "five_valued": self.five_valued,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        return record(self, histogram=[[v, c] for v, c in sorted(self.histogram.items())],
+                      witness=list(self.witness) if self.witness else None)
 
 
 def transform_single(ctx: FieldCtx, pair: MonomialPair, a, b, c):
@@ -188,11 +191,12 @@ def frobenius_orbits(ctx: FieldCtx, cs, bs=0) -> tuple[np.ndarray, np.ndarray]:
 def frobenius_reps(ctx: FieldCtx, nb: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The Frobenius orbits of the pairs (b, c), b < nb (1 or 2^n) and c in
     L*: each orbit's least key b * 2^n + c, ascending, and its size, from
-    blocks of _BATCH_CELLS >> 5 keys, keeping each key that leads its orbit."""
+    blocks of _BATCH_CELLS >> 5 keys, keeping each key that leads its orbit.
+    At nb = 1, b = 0 goes in as a scalar, so Frobenius maps no array of zeros."""
     mask, found = ctx.order - 1, []
     for part in _batches(5, nb << ctx.n):
         keys = part.start + np.flatnonzero(np.arange(part.start, part.stop) & mask)
-        leaders, sizes = frobenius_orbits(ctx, keys & mask, keys >> ctx.n)
+        leaders, sizes = frobenius_orbits(ctx, keys & mask, keys >> ctx.n if nb > 1 else 0)
         found.append((keys[leaders == keys], sizes[leaders == keys]))
     return tuple(np.concatenate(x) for x in zip(*found))
 

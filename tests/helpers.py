@@ -34,7 +34,7 @@ from tecc import (
 )
 from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
-from tecc.gf2 import row_reduce, to_bits, to_int
+from tecc.gf2 import rank_array, row_reduce, to_bits, to_int
 from tecc.kernel import (
     _G_TERMS,
     _ORACLE_SAMPLES,
@@ -220,10 +220,10 @@ def kasami_quadratic(ctx, k: int, a: int, b: int, c: int, u: int) -> int:
     return out
 
 
-def gold_quadratic(ctx, t: int, k: int, a: int, b: int, c: int, u: int) -> int:
-    """Q(u) = a*u + b*u^(2^k+1) + c*u^(2^(tk)+1)."""
+def gold_quadratic(ctx, i: int, j: int, a: int, b: int, c: int, u: int) -> int:
+    """Q(u) = a*u + b*u^(2^i+1) + c*u^(2^j+1)."""
     out = ctx.mul(a, u)
-    for coeff, shift in ((b, k), (c, t * k)):
+    for coeff, shift in ((b, i), (c, j)):
         if coeff:
             out ^= ctx.mul(coeff, ctx.mul(ctx.frobenius(u, shift), u))
     return out
@@ -435,9 +435,11 @@ def exhaustive_is_apn(ctx, table) -> bool:
 
 
 def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
-    """gold_kernel_scan with one gold_map and one elimination per (b, c)."""
+    """gold_kernel_scan with one gold_map and one elimination per (b, c), the
+    shifts (k, t*k) of L taken from the family name rather than the exponents."""
     t = 2 if pair.family == "gold2" else 3
     k = pair.param
+    shifts = (k, t * k)
     rng = random.Random(seed)
     order = ctx.order
     max_s = 0
@@ -448,7 +450,7 @@ def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
     for b in range(1, order):
         rows = transform_rows(ctx, pair.f_np, pair.g_np, b, cs).astype(np.int64)
         for c, values in zip(cs.tolist(), rows):
-            s = len(kernel_basis(gold_map(ctx, t, k, b, c)))
+            s = len(kernel_basis(gold_map(ctx, *shifts, b, c)))
             s_counts[s] = s_counts.get(s, 0) + 1
             max_s = max(max_s, s)
             ok = set(np.unique(values ** 2).tolist()) <= {0, 1 << (ctx.n + s)}
@@ -458,12 +460,25 @@ def scalar_gold_kernel_scan(ctx, pair, seed: int = 0):
                 failures.append((b, c))
             checked += 1
     for a, b, c in zip(*(x.tolist() for x in _draw_triples(rng, order, _ORACLE_SAMPLES))):
-        s = len(kernel_basis(gold_map(ctx, t, k, b, c)))
+        s = len(kernel_basis(gold_map(ctx, *shifts, b, c)))
         fw = transform_single(ctx, pair, a, b, c)
         if fw * fw not in (0, 1 << (ctx.n + s)):
             failures.append((b, c))
-    return GoldKernelSummary(pair.family, ctx.n, k, checked, max_s, s_counts,
+    return GoldKernelSummary(pair.family, ctx.n, k, max_s, s_counts, checked,
                              not failures, failures)
+
+
+def unfolded_gold_s_counts(ctx, i: int, j: int) -> dict[int, int]:
+    """How many (b, c) in L* x L* have each s = dim ker L_(b,c), L the gold
+    map with shifts (i, j), with no fold: L is GF(2)-linear in (b, c), so
+    the columns of L_(b,c) are those of L_(b,0) xor those of L_(0,c), each
+    from one scalar gold_map, ranked one b at a time."""
+    c_cols = np.array([gold_map(ctx, i, j, 0, c).cols for c in range(1, ctx.order)])
+    counts: Counter = Counter()
+    for b in range(1, ctx.order):
+        b_cols = np.array(gold_map(ctx, i, j, b, 0).cols)
+        counts.update((ctx.n - rank_array(c_cols ^ b_cols, ctx.n)).tolist())
+    return dict(counts)
 
 
 def scalar_kasami_triple(ctx, pair, k: int, a: int, b: int, c: int):
@@ -568,8 +583,7 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
         for t in zip(*(x.tolist() for x in _draw_triples(rng, order, _ORACLE_SAMPLES))):
             got, ok = scalar_kasami_triple(ctx, pair, k, *t)
             want = by_triple[scalar_kasami_fold(ctx, k, *t)]
-            if not ok or (got.s, got.S0_size, got.S1_size, got.Fw) != (
-                    want.s, want.S0_size, want.S1_size, want.Fw):
+            if not ok or (got.s, got.S0, got.S1, got.Fw) != (want.s, want.S0, want.S1, want.Fw):
                 failures.append(t)
     return KasamiKernelSummary(
         n=ctx.n,
@@ -579,7 +593,7 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
         permutation_ok=permutation_ok,
         substitution_ok=substitution_ok,
         all_consistent=not failures,
-        s0_sizes_nonzero_fw={r.S0_size for r in reports if r.Fw != 0},
+        s0_sizes_nonzero_fw={r.S0 for r in reports if r.Fw != 0},
         max_s=max(r.s for r in reports),
         failures=failures,
         reports=reports,

@@ -1,5 +1,6 @@
 """Linearized maps, kernel extraction, and the per-family kernel scans."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -14,9 +15,11 @@ from tecc import (
     gold_map,
     instantiate,
     kasami_kernel_scan,
+    monomial_pair,
     transform_single,
 )
 from tecc import kernel, spectrum
+from tecc.functions import gold_shift
 
 import helpers
 
@@ -24,6 +27,7 @@ from helpers import (
     eval_matrix,
     get_ctx,
     get_pair,
+    get_report,
     gold_quadratic,
     kasami_g_form,
     kasami_identity_residual,
@@ -39,6 +43,7 @@ from helpers import (
     scalar_kasami_kernel_scan,
     scalar_kasami_reps,
     scalar_kasami_triple,
+    unfolded_gold_s_counts,
     unfolded_kasami_scan,
 )
 
@@ -72,7 +77,7 @@ def test_kernel_closed_under_xor_and_power_of_two():
     rng = random.Random(6)
     for _ in range(50):
         b, c = rng.randrange(1, 128), rng.randrange(1, 128)
-        kern = kernel_of(gold_map(ctx, 2, 1, b, c))
+        kern = kernel_of(gold_map(ctx, 1, 2, b, c))
         size = len(kern)
         assert size & (size - 1) == 0
         members = set(kern)
@@ -87,7 +92,7 @@ def test_map_linearity_and_matrix_agreement():
     rng = random.Random(7)
     for _ in range(20):
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
-        lmap = gold_map(ctx, 3, 1, b, c)
+        lmap = gold_map(ctx, 1, 3, b, c)
         for u in range(32):
             assert eval_matrix(lmap, u) == lmap.eval_formula(u)
         for _ in range(50):
@@ -108,7 +113,7 @@ def test_kasami_map_matrix_agreement():
 def test_all_zero_coefficients_rejected():
     ctx = get_ctx(5)
     with pytest.raises(ValueError):
-        gold_map(ctx, 2, 1, 0, 0)
+        gold_map(ctx, 1, 2, 0, 0)
     with pytest.raises(ValueError):
         kasami_map(ctx, 1, 0, 0, 0)
 
@@ -141,7 +146,7 @@ def test_gold_scan_streams_its_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert summary == GoldKernelSummary("gold2", 9, 1, 511 * 511, 3, GOLD_N9_S_COUNTS, True, [])
+    assert summary == GoldKernelSummary("gold2", 9, 1, 3, GOLD_N9_S_COUNTS, 511 * 511, True, [])
     assert peak < 1 << 20
 
 
@@ -169,7 +174,7 @@ def test_gold_scan_requires_gold_family():
 def test_gold_scan_keeps_the_pinned_counts_at_larger_n(family, n):
     counts = GOLD_N11_S_COUNTS if n == 11 else GOLD_N13_S_COUNTS
     summary = gold_kernel_scan(get_ctx(n), get_pair(family, n))
-    assert summary == GoldKernelSummary(family, n, 1, ((1 << n) - 1) ** 2, 3, counts, True, [])
+    assert summary == GoldKernelSummary(family, n, 1, 3, counts, ((1 << n) - 1) ** 2, True, [])
 
 
 def test_squared_transform_matches_kernel_dimension():
@@ -179,7 +184,7 @@ def test_squared_transform_matches_kernel_dimension():
     rng = random.Random(9)
     for _ in range(40):
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
-        s = len(kernel_basis(gold_map(ctx, 2, 1, b, c)))
+        s = len(kernel_basis(gold_map(ctx, 1, 2, b, c)))
         for a in (0, rng.randrange(32), rng.randrange(32)):
             fw = transform_single(ctx, pair, a, b, c)
             assert fw * fw in (0, 1 << (5 + s))
@@ -195,8 +200,8 @@ def test_gold_quadratic_square_identity():
     for _ in range(60):
         a = rng.randrange(32)
         b, c = rng.randrange(1, 32), rng.randrange(1, 32)
-        kern = kernel_of(gold_map(ctx, 3, 1, b, c))
-        char_sum = sum(1 - 2 * int(ctx.trace_table[gold_quadratic(ctx, 3, 1, a, b, c, u)])
+        kern = kernel_of(gold_map(ctx, 1, 3, b, c))
+        char_sum = sum(1 - 2 * int(ctx.trace_table[gold_quadratic(ctx, 1, 3, a, b, c, u)])
                        for u in kern)
         fw = transform_single(ctx, pair, a, b, c)
         assert fw * fw == 32 * char_sum
@@ -225,9 +230,9 @@ def test_kasami_reports_roundtrip():
     assert len(summary.reports) == 10
     for rep in summary.reports:
         assert rep.consistent
-        assert rep.S0_size + rep.S1_size == len(rep.kernel_elements)
-        assert rep.S0_size - rep.S1_size in (0, len(rep.kernel_elements))
-        assert rep.Fw**2 == 32 * (rep.S0_size - rep.S1_size)
+        assert rep.S0 + rep.S1 == len(rep.kernel)
+        assert rep.S0 - rep.S1 in (0, len(rep.kernel))
+        assert rep.Fw**2 == 32 * (rep.S0 - rep.S1)
         assert rep.to_json_dict()["s"] == rep.s
 
 
@@ -310,6 +315,47 @@ def test_gold_scan_refuses_exponents_off_its_family(family):
     ctx, bad = pair_with_g7(family)
     with pytest.raises(ValueError, match="exponents"):
         gold_kernel_scan(ctx, bad)
+
+
+def test_gold_shift_reads_gold_exponents_only():
+    ctx = get_ctx(9)
+    assert [gold_shift(ctx, (1 << i) + 1) for i in range(1, 9)] == list(range(1, 9))
+    assert gold_shift(ctx, 9 + ctx.group_order) == 3  # exponents count mod 2^n - 1
+    assert [gold_shift(ctx, d) for d in (0, 1, 2, 7, 11)] == [None] * 5
+
+
+@pytest.mark.parametrize("n, d1, d2, i, j", [(7, 5, 9, 2, 3), (9, 3, 33, 1, 5)])
+def test_gold_scan_reads_its_shifts_from_the_exponents(n, d1, d2, i, j):
+    # pairs of Gold exponents under no family label, neither gold2 nor gold3
+    # with k = 1: the folded scan must count what every (b, c) gives
+    ctx = get_ctx(n)
+    summary = gold_kernel_scan(ctx, monomial_pair(ctx, d1, d2))
+    assert (summary.family, summary.k, summary.max_s) == (None, None, 3)
+    assert summary.all_consistent and summary.pairs_checked == ctx.group_order ** 2
+    assert summary.s_counts == unfolded_gold_s_counts(ctx, i, j)
+
+
+def test_gold_scan_of_an_unlabelled_gold2_pair():
+    ctx = get_ctx(7)
+    summary = gold_kernel_scan(ctx, monomial_pair(ctx, 3, 5))
+    assert summary.s_counts == GOLD_N7_S_COUNTS and summary.all_consistent
+
+
+def test_gold_scan_refuses_unlabelled_exponents_off_gold():
+    ctx = get_ctx(5)
+    with pytest.raises(ValueError, match="exponents"):
+        gold_kernel_scan(ctx, monomial_pair(ctx, 3, 7))
+
+
+def test_records_are_their_fields_in_order():
+    # the JSON keys are the field names, in the order table output prints
+    ctx = get_ctx(5)
+    kasami = kasami_kernel_scan(ctx, get_pair("kasami5", 5), keep_reports=1)
+    gold = gold_kernel_scan(ctx, get_pair("gold2", 5))
+    for r in (get_report("gold2", 5), gold, kasami, kasami.reports[0]):
+        assert list(r.to_json_dict()) == [f.name for f in dataclasses.fields(r)]
+    # shallow: a field passed through is the field itself, not a copy
+    assert kasami.reports[0].to_json_dict()["kernel"] is kasami.reports[0].kernel
 
 
 def _gold_samples(ctx, seed=0):

@@ -312,6 +312,19 @@ def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
     assert sorted((min(o), len(o)) for o in orbits) == list(zip(reps.tolist(), sizes.tolist()))
 
 
+def test_cyclotomic_cosets_run_frobenius_on_c_alone(monkeypatch):
+    # at nb = 1 every b is 0: Frobenius may see it as a scalar, never as an
+    # array, so the only arrays it maps are the n - 1 images of the cs
+    ctx = get_ctx(9)
+    want = frobenius_reps(ctx)
+    frobenius_array, seen = ctx.frobenius_array, []
+    monkeypatch.setattr(ctx, "frobenius_array", lambda x, k: seen.append(x) or frobenius_array(x, k))
+    got = frobenius_reps(ctx)
+    arrays = [x for x in seen if np.ndim(x)]
+    assert len(arrays) == ctx.n - 1 and all(x.all() for x in arrays)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("n,d1,d2", [(5, 3, 7), (9, 7, 3), (7, 5, 11)])
 def test_batched_scan_equals_one_batch(monkeypatch, n, d1, d2):
     # at n <= 9 one batch holds every row; shrink it to force several
