@@ -18,7 +18,7 @@ import os
 import random
 import sys
 
-from . import kernel
+from . import code, kernel
 from .code import (
     RankDefect,
     build_parity_check,
@@ -169,8 +169,9 @@ def cmd_build(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> 
 
 
 def cmd_distance(config: argparse.Namespace, ctx: FieldCtx, pair: MonomialPair) -> int:
-    if config.n > 7:
-        raise ValueError(f"both distance oracles are limited to n <= 7; got n={config.n}")
+    top = code.DISTANCE_ORACLE_MAX_N
+    if config.n > top:
+        raise ValueError(f"both distance oracles are limited to n <= {top}; got n={config.n}")
     payload: dict = {"family": config.family, "n": config.n, "k": config.k}
     ok = True
     if config.n == 5:

@@ -19,6 +19,8 @@ from .field import FieldCtx
 from .functions import MonomialPair
 from .spectrum import SpectrumReport, single_table_spectrum
 
+DISTANCE_ORACLE_MAX_N = 7  # the weight-3 syndrome scan, and `tecc distance`, stop here
+
 
 class RankDefect(ValueError):
     """H does not reach full rank 3n (degenerate pair)."""
@@ -182,11 +184,11 @@ def weight3_syndromes_distinct(ctx: FieldCtx, pair: MonomialPair) -> bool:
     Equivalent to minimum distance >= 7, independently of any transform
     computation.  Columns are packed as 3n-bit int32 (x, f, g blocks, LSB
     first, at most 21 bits); every pattern's syndrome is built by index
-    arithmetic and the sorted syndromes must not repeat.  Kept to n <= 7
-    (C(127,3) patterns).
+    arithmetic and the sorted syndromes must not repeat.  Kept to
+    n <= DISTANCE_ORACLE_MAX_N (C(127,3) patterns at n = 7).
     """
-    if ctx.n > 7:
-        raise ValueError("triple syndrome scan is limited to n <= 7")
+    if ctx.n > DISTANCE_ORACLE_MAX_N:
+        raise ValueError(f"triple syndrome scan is limited to n <= {DISTANCE_ORACLE_MAX_N}")
     n = ctx.n
     cols = (np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)).astype(np.int32)
     i, j = (idx.astype(np.int32) for idx in np.triu_indices(cols.size, 1))

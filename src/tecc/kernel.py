@@ -21,17 +21,18 @@ companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u) detects membership:
 u is in K iff G(u) is 0 or 1, and in S0 iff G(u) = 0.
 
 Everything here verifies those identities numerically via exact GF(2) linear
-algebra; nothing is proven symbolically.  The exhaustive scans check one
-representative per orbit of squaring and of x -> lambda*x, which takes
-(a, b, c) to (lambda*a, lambda^d1*b, lambda^d2*c) and keeps F, s and (as
-u -> mu*u, mu^(2^k+1) = lambda) the kasami5 |K|, |S0| and |S1|: the gold scan
-the rows of `spectrum.orbit_rows`, b = 1 and one c per cyclotomic coset of
-L*, the kasami5 scan (1, b, c), one (b, c) per Frobenius orbit, and
-(0, 1, c).  Seeded samples check the invariance rather than assume it.  The
-kasami5 scan evaluates L at every u, to check |K| against the rank of L's
-columns, but Tr Q and G only on K, where its checks read them.  On K,
-u*L(u) = 0, so the functional equation reduces to G = G^(2^-k), i.e. G in
-GF(2) (gcd(k, n) = 1), which G in {0, 1} requires.
+algebra; nothing is proven symbolically.  Both exhaustive scans read one
+fold, the row b = 1 of `spectrum.orbit_rows` with one c per cyclotomic coset
+of L*: x -> lambda*x, lambda = b^(-1/d1), takes (a, b, c) to (lambda*a, 1,
+lambda^d2*c) and squaring c to its coset's leader, keeping F, s and (as
+u -> mu*u, mu^(2^k+1) = lambda) the kasami5 |K|, |S0| and |S1|.  The gold
+scan checks each (1, c), a staying out of L; the kasami5 scan checks every
+cell (a, 1, c), a in L, since its L involves a.  Seeded samples check the
+invariance rather than assume it.  The kasami5 scan evaluates L at every u,
+to check |K| against the rank of L's columns, but Tr Q and G only on K,
+where its checks read them.  On K, u*L(u) = 0, so the functional equation
+reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1}
+requires.
 Off K, test_g_form_functional_equation and test_g_form_flags_kernel_membership
 pin the equation and G's membership test.
 """
@@ -46,8 +47,7 @@ import numpy as np
 from . import gf2
 from .field import FieldCtx
 from .functions import FamilySpec, MonomialPair, family_exponents, gold_shift
-from .spectrum import (_batches, _row_batches, fold_keys, frobenius_reps, orbit_rows, record,
-                       transform_single)
+from .spectrum import _batches, _row_batches, fold_keys, orbit_rows, record, transform_single
 
 _ORACLE_SAMPLES = 64  # (a, b, c) each exhaustive scan cross-checks against its fold
 KASAMI_EXHAUSTIVE_MAX_N = 9  # the kasami5 scan checks every triple up to this n by default
@@ -218,7 +218,7 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
         s_of[cs] = s
 
     a, b, c = _draw_triples(random.Random(seed), ctx.order, _ORACLE_SAMPLES)
-    folded = s_of[fold_keys(ctx, pair, 0, b, c)]
+    folded = s_of[fold_keys(ctx, pair, 0, b, c) >> n]
     # a naive-sum cell holds about three int64 temporaries against a row
     # cell's 4 bytes, so its slices are 2^3 times shorter than the rows'
     fws = np.concatenate([transform_single(ctx, pair, a[p], b[p], c[p])
@@ -306,15 +306,6 @@ def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
     return s, us, size, s0, s1, fw, ok
 
 
-def _kasami_reps(ctx: FieldCtx) -> tuple[np.ndarray, ...]:
-    """The keys, a, b, c and weights of the triples that stand for every
-    (a, b, c) in L x L* x L*, in ascending key b * 2^n + c: (0, 1, c) keyed
-    c, then (1, b, c), each weighted 2^n - 1 scalings times its orbit."""
-    keys, sizes = frobenius_reps(ctx, ctx.order)
-    a = (keys >= ctx.order).astype(np.int64)
-    return keys, a, np.where(a == 1, keys >> ctx.n, 1), keys % ctx.order, ctx.group_order * sizes
-
-
 def kasami_kernel_scan(
     ctx: FieldCtx,
     pair: MonomialPair,
@@ -325,8 +316,10 @@ def kasami_kernel_scan(
 ) -> KasamiKernelSummary:
     """Verify the kasami5 kernel machinery on sampled or exhaustive triples.
 
-    exhaustive=None picks exhaustive at n <= KASAMI_EXHAUSTIVE_MAX_N, the
-    triples of `_kasami_reps` and samples of their fold, and sampling above.
+    exhaustive=None picks exhaustive at n <= KASAMI_EXHAUSTIVE_MAX_N, and
+    sampling above.  Exhaustive, it checks the cells (a, 1, c) of every a in
+    L on the row b = 1 of `orbit_rows`, in (c, a) order, each weighted as
+    its c, then the fold of its samples onto their cells.
     keep_reports bounds how many per-triple reports are retained (0 = none,
     negative = all).
     """
@@ -339,7 +332,7 @@ def kasami_kernel_scan(
     if exhaustive and (pair.d1, pair.d2) != family_exponents(FamilySpec("kasami5", k), n):
         raise ValueError(f"kernel scan expects the exponents of kasami5, got {pair.d1, pair.d2}")
     if exhaustive and n > 11:
-        raise ValueError("the exhaustive kasami5 scan checks about 2^(2n)/n orbits (b, c), 5M at"
+        raise ValueError("the exhaustive kasami5 scan checks about 2^(2n)/n cells (a, c), 5M at"
                          f" n = 13 in an estimated half hour: n <= 11, got {n}")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
@@ -356,15 +349,16 @@ def kasami_kernel_scan(
     totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
     substitution_ok = bool((totals == transform_single(ctx, pair, a, b, c)).all())
 
-    if exhaustive:
-        keys, *reps, weights = _kasami_reps(ctx)
+    if exhaustive:  # d1 is a unit mod 2^n - 1 at odd n: b = 1 is the one row
+        _, cs, weights = next(orbit_rows(ctx, pair.d1))
     failures: list[tuple[int, int, int]] = []
     reports: list[KernelReport] = []
     s0_nonzero: set[int] = set()
     max_s = 0
-    for part in _batches(n + 5, keys.size if exhaustive else samples):
-        a, b, c = ((x[part] for x in reps) if exhaustive
-                   else _draw_triples(rng, order, part.stop - part.start))
+    for part in _batches(n + 5, cs.size << n if exhaustive else samples):
+        cell = np.arange(part.start, part.stop)
+        a, b, c = ((cell & (order - 1), np.ones_like(cell), cs[cell >> n]) if exhaustive
+                   else _draw_triples(rng, order, cell.size))
         s, kernels, size, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
         keep = len(a) if keep_reports < 0 else min(len(a), keep_reports - len(reports))
         ends = np.cumsum(size[:keep]).tolist()
@@ -380,15 +374,15 @@ def kasami_kernel_scan(
     if exhaustive:
         a, b, c = _draw_triples(rng, order, _ORACLE_SAMPLES)
         key = fold_keys(ctx, pair, a, b, c)
-        rep = np.minimum(np.searchsorted(keys, key), keys.size - 1)
         s, _, *values, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
-        r_s, _, *r_values, _ = _check_kasami_chunk(ctx, pair, k, *(x[rep] for x in reps))
-        ok &= (keys[rep] == key) & (np.stack([s, *values]) == np.stack([r_s, *r_values])).all(0)
+        r_s, _, *r_values, _ = _check_kasami_chunk(ctx, pair, k, key & (order - 1),
+                                                   np.ones_like(key), key >> n)
+        ok &= np.isin(key >> n, cs) & (np.stack([s, *values]) == np.stack([r_s, *r_values])).all(0)
         failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
     return KasamiKernelSummary(
         n=n,
         k=k,
-        triples_checked=int(weights.sum()) if exhaustive else samples,
+        triples_checked=int(weights.sum()) << n if exhaustive else samples,
         exhaustive=exhaustive,
         permutation_ok=permutation_ok,
         substitution_ok=substitution_ok,

@@ -188,27 +188,24 @@ def frobenius_orbits(ctx: FieldCtx, cs, bs=0) -> tuple[np.ndarray, np.ndarray]:
     return low, ctx.n // fixed
 
 
-def frobenius_reps(ctx: FieldCtx, nb: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The Frobenius orbits of the pairs (b, c), b < nb (1 or 2^n) and c in
-    L*: each orbit's least key b * 2^n + c, ascending, and its size, from
-    blocks of _BATCH_CELLS >> 5 keys, keeping each key that leads its orbit.
-    At nb = 1, b = 0 goes in as a scalar, so Frobenius maps no array of zeros."""
-    mask, found = ctx.order - 1, []
-    for part in _batches(5, nb << ctx.n):
-        keys = part.start + np.flatnonzero(np.arange(part.start, part.stop) & mask)
-        leaders, sizes = frobenius_orbits(ctx, keys & mask, keys >> ctx.n if nb > 1 else 0)
-        found.append((keys[leaders == keys], sizes[leaders == keys]))
-    return tuple(np.concatenate(x) for x in zip(*found))
+def frobenius_reps(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclotomic cosets of L*: each coset's least element, ascending,
+    and its size.  b = 0 goes in as a scalar, so Frobenius maps no array of
+    zeros."""
+    cs = np.arange(1, ctx.order)
+    leaders, sizes = frobenius_orbits(ctx, cs)
+    return cs[leaders == cs], sizes[leaders == cs]
 
 
 def fold_keys(ctx: FieldCtx, pair: MonomialPair, a, b, c) -> np.ndarray:
-    """The key of the orbit that x -> lambda*x, lambda = 1/a (or b^(-1/d1)
-    at a = 0), and squaring fold each (a, b, c) onto: (1, lambda^d1*b,
-    lambda^d2*c) keyed as a pair, and (0, 1, lambda^d2*c) keyed by c."""
+    """The key c' * 2^n + a' of the cell (a', 1, c') that x -> lambda*x,
+    lambda = b^(-1/d1), and squaring fold each (a, b, c) onto: c' the coset
+    leader of lambda^d2 * c and a' the least image of lambda * a under the
+    powers of squaring that take lambda^d2 * c to c'."""
     N = ctx.group_order
-    lam = np.where(a, ctx.pow_array(a, N - 1), ctx.pow_array(b, -pow(pair.d1, -1, N) % N))
-    bs = np.where(a, ctx.mul_array(b, ctx.pow_array(lam, pair.d1)), 0)
-    return frobenius_orbits(ctx, ctx.mul_array(c, ctx.pow_array(lam, pair.d2)), bs)[0]
+    lam = ctx.pow_array(b, -pow(pair.d1, -1, N) % N)
+    c_scaled = ctx.mul_array(c, ctx.pow_array(lam, pair.d2))
+    return frobenius_orbits(ctx, ctx.mul_array(a, lam), c_scaled)[0]
 
 
 def scaling_reps(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, int]:

@@ -47,7 +47,7 @@ from tecc.kernel import (
     _kasami_terms,
     gold_map,
 )
-from tecc.spectrum import allowed_values, frobenius_orbits, transform_rows, transform_single
+from tecc.spectrum import allowed_values, transform_rows, transform_single
 
 FAMILIES = ("gold2", "gold3", "th", "kasami5")
 
@@ -508,43 +508,30 @@ def _frobenius_orbit_min(ctx, *coeffs) -> tuple[int, ...]:
 
 
 def scalar_kasami_reps(ctx) -> list[tuple[int, int, int, int]]:
-    """(a, b, c, weight) for the orbits of squaring and u -> mu*u on
-    L x L* x L*, one Python tuple at a time: (0, 1, c) for each cyclotomic
-    coset of L*, then (1, b, c) for each Frobenius orbit of L* x L*, each
-    in ascending order and weighted 2^n - 1 times its orbit's size."""
-    nonzero = range(1, ctx.order)
-    cosets = Counter(_frobenius_orbit_min(ctx, c) for c in nonzero)
-    orbits = Counter(_frobenius_orbit_min(ctx, b, c) for b in nonzero for c in nonzero)
-    return ([(0, 1, c, ctx.group_order * w) for (c,), w in sorted(cosets.items())]
-            + [(1, b, c, ctx.group_order * w) for (b, c), w in sorted(orbits.items())])
+    """(a, 1, c, weight) for every a in L and each cyclotomic coset of L*,
+    one Python tuple at a time: c the coset's least element, in ascending c
+    and then a, weighted 2^n - 1 times the coset's size."""
+    cosets = Counter(_frobenius_orbit_min(ctx, c) for c in range(1, ctx.order))
+    return [(a, 1, c, ctx.group_order * w) for (c,), w in sorted(cosets.items())
+            for a in range(ctx.order)]
 
 
-def oneshot_kasami_reps(ctx) -> tuple[np.ndarray, ...]:
-    """The keys, a, b, c and weights of kernel._kasami_reps, built in one
-    shot: the leader of every (b, c) in L x L* at once, keyed b * 2^n + c,
-    and one np.bincount of them over the whole 2^(2n) key space, each
-    orbit's size being its leader's count."""
-    n, mask = ctx.n, ctx.order - 1
-    pairs = np.flatnonzero(np.arange(ctx.order << n) & mask)
-    leaders = frobenius_orbits(ctx, pairs & mask, pairs >> n)[0]
-    sizes = np.bincount(leaders, minlength=ctx.order << n)
-    keys = np.flatnonzero(sizes)
-    a = (keys > mask).astype(np.int64)
-    return keys, a, np.where(a == 1, keys >> n, 1), keys & mask, ctx.group_order * sizes[keys]
+def scalar_fold(ctx, e: tuple[int, int, int], a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The cell (a', 1, c') that (a, b, c) folds onto when u -> mu*u scales
+    the coefficients by mu^e[0], mu^e[1] and mu^e[2]: the mu with
+    b * mu^e[1] = 1, found by search, then the least (c', a') over the
+    Frobenius images of the scaled (c, a)."""
+    mu = next(m for m in range(1, ctx.order) if ctx.mul(b, ctx.pow(m, e[1])) == 1)
+    c_low, a_low = _frobenius_orbit_min(ctx, ctx.mul(c, ctx.pow(mu, e[2])),
+                                        ctx.mul(a, ctx.pow(mu, e[0])))
+    return a_low, 1, c_low
 
 
 def scalar_kasami_fold(ctx, k: int, a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The representative of (a, b, c) in scalar_kasami_reps: the mu with
-    mu^(2^k+1) = 1/a (at a = 0, mu^(2^3k+1) = 1/b), found by search, scales
-    the triple to (1, b', c') or (0, 1, c'), then the orbit's least pair."""
-    def scaled(coeff: int, mu: int, j: int) -> int:
-        return ctx.mul(coeff, ctx.pow(mu, (1 << j * k % ctx.n) + 1))
-
-    lead, j = (a, 1) if a else (b, 3)
-    mu = next(m for m in range(1, ctx.order) if scaled(lead, m, j) == 1)
-    if a:
-        return (1, *_frobenius_orbit_min(ctx, scaled(b, mu, 3), scaled(c, mu, 5)))
-    return (0, 1, *_frobenius_orbit_min(ctx, scaled(c, mu, 5)))
+    """The cell of scalar_kasami_reps that (a, b, c) folds onto, with mu
+    in the substituted form, which scales (a, b, c) by mu^(2^k+1),
+    mu^(2^3k+1) and mu^(2^5k+1)."""
+    return scalar_fold(ctx, tuple((1 << j * k % ctx.n) + 1 for j in (1, 3, 5)), a, b, c)
 
 
 def _scalar_substitution_checks(ctx, pair, rng: random.Random) -> tuple[bool, bool]:
@@ -561,8 +548,8 @@ def _scalar_substitution_checks(ctx, pair, rng: random.Random) -> tuple[bool, bo
 def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
                               exhaustive: bool | None = None):
     """kasami_kernel_scan(keep_reports=-1), one scalar check per triple: in
-    the exhaustive scan, the triples of scalar_kasami_reps, then the
-    64 samples, each against the representative scalar_kasami_fold finds."""
+    the exhaustive scan, the cells of scalar_kasami_reps, then the
+    64 samples, each against the cell scalar_kasami_fold finds."""
     k = pair.param
     order = ctx.order
     if exhaustive is None:

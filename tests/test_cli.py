@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tecc import kernel
+from tecc import FamilySpec, instantiate, kernel, make_ctx
+from tecc import code as tecc_code
 from tecc.cli import fork_seed, main
 
 # The options each command reads besides FAMILY and the shared ones.
@@ -237,6 +238,18 @@ def test_kernel_samples_refusal_moves_with_the_exhaustive_threshold(capsys, monk
     code, out = run_cli(capsys, "kernel", "kasami5", "--n", "7", "--samples", "5")
     assert code == 2
     assert "n <= 7" in json.loads(out)["message"]
+
+
+def test_distance_refusals_move_with_the_oracle_limit(capsys, monkeypatch):
+    # one constant sets where `tecc distance` refuses and where the
+    # weight-3 syndrome scan does
+    monkeypatch.setattr(tecc_code, "DISTANCE_ORACLE_MAX_N", 5)
+    code, out = run_cli(capsys, "distance", "gold2", "--n", "7")
+    assert code == 2
+    assert json.loads(out)["message"] == "both distance oracles are limited to n <= 5; got n=7"
+    ctx = make_ctx(7)
+    with pytest.raises(ValueError, match="limited to n <= 5"):
+        tecc_code.weight3_syndromes_distinct(ctx, instantiate(FamilySpec("gold2", 1), ctx))
 
 
 def test_distance_beyond_oracle_limit_rejected(capsys):

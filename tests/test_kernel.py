@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from helpers import (
     kasami_quadratic,
     kernel_basis,
     kernel_of,
-    oneshot_kasami_reps,
     pair_with_g7,
     quadratic_pair_identity,
     scalar_gold_kernel_scan,
@@ -483,32 +483,23 @@ def _kasami_samples(ctx, seed=0):
     return list(zip(*(x.tolist() for x in drawn)))
 
 
-@pytest.mark.parametrize("n, count", [(5, 200), (7, 2324), (9, 29084)])
+@pytest.mark.parametrize("n, count", [(5, 224), (7, 2432), (9, 30208)])
 def test_kasami_reps_stand_for_every_triple(n, count):
-    # one (0, 1, c) per cyclotomic coset and one (1, b, c) per Frobenius
-    # orbit of L* x L*, ascending by key, weighted to 2^n (2^n - 1)^2 in all;
-    # at n = 5 and 7 the Python-tuple orbits give the same list
-    ctx = get_ctx(n)
-    keys, a, b, c, weights = kernel._kasami_reps(ctx)
-    assert keys.size == count and (np.diff(keys) > 0).all()
-    assert int(weights.sum()) == ctx.order * ctx.group_order ** 2
-    assert (keys == np.where(a == 1, b << n, 0) + c).all()
+    # every a on the row b = 1 of orbit_rows, one c per cyclotomic coset,
+    # in (c, a) order, each cell weighted as its c, 2^n (2^n - 1)^2 in all;
+    # they are the Python-tuple cells, and at n = 5 and 7 the scan checks
+    # them in that order
+    ctx, pair = get_ctx(n), get_pair("kasami5", n)
+    cells = scalar_kasami_reps(ctx)
+    b, cs, weights = next(spectrum.orbit_rows(ctx, pair.d1))
+    assert b == 1 and len(cells) == count
+    assert sum(t[3] for t in cells) == ctx.order * ctx.group_order ** 2
+    assert cells == [(a, 1, c, w) for c, w in zip(cs.tolist(), weights.tolist())
+                     for a in range(ctx.order)]
     if n < 9:
-        assert list(zip(a.tolist(), b.tolist(), c.tolist(), weights.tolist())) == (
-            scalar_kasami_reps(ctx))
-
-
-@pytest.mark.parametrize("n", [5, 7, 9])
-def test_kasami_reps_do_not_depend_on_block_boundaries(monkeypatch, n):
-    # 2^13 cells make blocks of 256 keys, so orbits straddle many block
-    # boundaries; the streamed representatives must equal the one-shot
-    # bincount over the whole key space, array for array
-    ctx = get_ctx(n)
-    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 13)
-    streamed = kernel._kasami_reps(ctx)
-    assert len(list(spectrum._batches(5, ctx.order << n))) == ctx.order ** 2 // 256
-    for got, want in zip(streamed, oneshot_kasami_reps(ctx), strict=True):
-        assert got.tolist() == want.tolist()
+        summary = kasami_kernel_scan(ctx, pair, keep_reports=-1)
+        assert [(r.a, r.b, r.c) for r in summary.reports] == [t[:3] for t in cells]
+        assert summary.triples_checked == ctx.order * ctx.group_order ** 2
 
 
 def test_frobenius_orbit_sizes_match_python_orbits_n9():
@@ -527,18 +518,43 @@ def test_frobenius_orbit_sizes_match_python_orbits_n9():
     assert sizes[:64].tolist() == [1 if b < 2 and c < 2 else 3 for b, c in pairs[:64]]
 
 
-def test_kasami_reps_stream_their_keys():
-    # the representatives come from blocks of 2^16 keys, not from a table
-    # over all 2^18 (b, c) at n = 9: the one-shot build peaked at 18.2 MiB
-    ctx = get_ctx(9)
+def test_kasami_exhaustive_scan_streams_its_cells(monkeypatch):
+    # the 30,208 cells at n = 9 come from index arithmetic over (c, a), 8 at
+    # a time, with no array over all of them: from building the row of cells
+    # to folding the samples, the traced memory grows by less than one int64
+    # entry per cell would take.  The per-cell checks, whose temporaries
+    # follow the batch, not the cell count, are stubbed out to keep the
+    # 3,776 batches fast; the stub still sees every cell once
+    ctx, pair = get_ctx(9), get_pair("kasami5", 9)
+    rows, fold, traced, seen = spectrum.orbit_rows, spectrum.fold_keys, [], Counter()
+
+    def rows_opening_the_window(ctx, d1):
+        tracemalloc.reset_peak()
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return rows(ctx, d1)
+
+    def fold_closing_the_window(*args):
+        traced.append(tracemalloc.get_traced_memory()[1])
+        return fold(*args)
+
+    def unchecked(ctx, pair, k, a, b, c):
+        seen[a.size] += 1
+        zeros = np.zeros_like(a)
+        return zeros, zeros[:0], zeros, zeros, zeros, zeros, zeros == 0
+
+    monkeypatch.setattr(kernel, "orbit_rows", rows_opening_the_window)
+    monkeypatch.setattr(kernel, "fold_keys", fold_closing_the_window)
+    monkeypatch.setattr(kernel, "_check_kasami_chunk", unchecked)
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 17)
     tracemalloc.start()
     try:
-        keys = kernel._kasami_reps(ctx)[0]
-        peak = tracemalloc.get_traced_memory()[1]
+        summary = kasami_kernel_scan(ctx, pair)
     finally:
         tracemalloc.stop()
-    assert keys.size == 29084
-    assert peak < 10 << 20
+    assert summary.triples_checked == ctx.order * ctx.group_order ** 2 and summary.all_consistent
+    assert seen == {8: 30208 // 8, kernel._ORACLE_SAMPLES: 2}
+    start, peak = traced
+    assert peak - start < 30208 * 8
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -556,8 +572,7 @@ def test_kasami_scan_is_exhaustive_by_default_to_n9(n, k):
 
 
 def test_kasami_exhaustive_order_and_reports_n5():
-    # the representatives in fold order, a = 0 first by ascending c, then
-    # a = 1 by ascending (b, c), each report equal to the scalar one (k = 2;
+    # the cells in (c, a) order, each report equal to the scalar one (k = 2;
     # the chunk-boundary test below covers k = 1)
     ctx = get_ctx(5)
     pair = instantiate(FamilySpec("kasami5", 2), ctx)
@@ -569,7 +584,7 @@ def test_kasami_exhaustive_order_and_reports_n5():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_kasami_fold_matches_the_unfolded_scan_n5(k):
-    # the representatives and their weights stand for all 30,752 triples
+    # the cells and their weights stand for all 30,752 triples
     # that the unfolded (b, c, a) scan checks one by one
     ctx = get_ctx(5)
     pair = instantiate(FamilySpec("kasami5", k), ctx)
@@ -584,7 +599,7 @@ def test_kasami_fold_matches_the_unfolded_scan_n5(k):
 def test_kasami_scan_flags_a_kernel_size_off_its_rank(monkeypatch):
     # a rank one short makes 2^s twice |K| for every triple; only the check
     # of the zero count of L against the rank of its columns can see it:
-    # every representative fails, in fold order, then every sample
+    # every cell fails, in (c, a) order, then every sample
     rank_array = kernel.gf2.rank_array
     monkeypatch.setattr(kernel.gf2, "rank_array", lambda cols, n: rank_array(cols, n) - 1)
     ctx = get_ctx(5)
@@ -596,22 +611,20 @@ def test_kasami_scan_flags_a_kernel_size_off_its_rank(monkeypatch):
 def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
     # 2^12 cells make batches of 4 triples at n = 5, so the kernel cells that
     # np.nonzero gathers span many batch boundaries.  The scalar oracle
-    # checks every representative and folds every sample by search, those
-    # with a = 0 through b as well
+    # checks every cell and folds every sample by a search through b
     ctx, pair = get_ctx(5), get_pair("kasami5", 5)
-    assert any(a == 0 for a, _, _ in _kasami_samples(ctx))
     default = kasami_kernel_scan(ctx, pair, keep_reports=-1)
     monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << 12)
     small = kasami_kernel_scan(ctx, pair, keep_reports=-1)
     assert small == default
-    assert small.triples_checked == 32 * 31 * 31 and len(small.reports) == 200
+    assert small.triples_checked == 32 * 31 * 31 and len(small.reports) == 224
     assert small == scalar_kasami_kernel_scan(ctx, pair)
 
 
 def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch):
-    # batches of 4 representatives at n = 7, and every triple with 3 | c
-    # marked failing: the failing representatives of many batches come back
-    # in fold order, then the failing samples in draw order
+    # batches of 4 cells at n = 7, and every triple with 3 | c marked
+    # failing: the failing cells of many batches come back in (c, a)
+    # order, then the failing samples in draw order
     ctx, pair = get_ctx(7), get_pair("kasami5", 7)
     check = kernel._check_kasami_chunk
 
@@ -646,15 +659,16 @@ def test_kasami_scan_checks_the_fold_on_its_samples(monkeypatch):
 
 
 def test_kasami_scan_fails_a_sample_whose_orbit_it_did_not_check(monkeypatch):
-    # every other representative dropped: the samples that fold onto a
-    # dropped one must fail, even where a neighbour shares their values
+    # every other c of the row dropped: the samples that fold onto a cell
+    # of a dropped c must fail, even where a neighbour shares their values
     ctx, pair = get_ctx(5), get_pair("kasami5", 5)
-    reps = kernel._kasami_reps
-    monkeypatch.setattr(kernel, "_kasami_reps", lambda ctx: tuple(x[::2] for x in reps(ctx)))
+    rows = spectrum.orbit_rows
+    monkeypatch.setattr(kernel, "orbit_rows", lambda ctx, d1: (
+        (b, cs[::2], weights[::2]) for b, cs, weights in rows(ctx, d1)))
     summary = kasami_kernel_scan(ctx, pair, keep_reports=-1)
     kept = {(r.a, r.b, r.c) for r in summary.reports}
     dropped = [t for t in _kasami_samples(ctx) if scalar_kasami_fold(ctx, 1, *t) not in kept]
-    assert len(summary.reports) == 100 and dropped
+    assert len(summary.reports) == 4 * 32 and dropped
     assert summary.failures == dropped
 
 
@@ -668,12 +682,12 @@ def test_kasami_exhaustive_scan_refuses_exponents_off_its_family():
 
 
 def test_kasami_exhaustive_scan_refuses_n_above_11(monkeypatch):
-    # about 2^(2n)/n orbits (b, c), 5M at n = 13, would take about half an
-    # hour: refused before a single representative is built
-    def unbuilt(ctx):
-        raise AssertionError("the representatives were built")
+    # about 2^(2n)/n cells (a, c), 5M at n = 13, would take about half an
+    # hour: refused before the row of cells is built
+    def unbuilt(ctx, d1):
+        raise AssertionError("the row of cells was built")
 
-    monkeypatch.setattr(kernel, "_kasami_reps", unbuilt)
+    monkeypatch.setattr(kernel, "orbit_rows", unbuilt)
     with pytest.raises(ValueError, match="n <= 11"):
         kasami_kernel_scan(get_ctx(13), get_pair("kasami5", 13), exhaustive=True)
 

@@ -33,6 +33,8 @@ from helpers import (
     get_report,
     loop_transform,
     reduced_histogram,
+    scalar_fold,
+    scalar_kasami_fold,
     unreduced_histogram,
     unreduced_witness,
 )
@@ -313,8 +315,8 @@ def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
 
 
 def test_cyclotomic_cosets_run_frobenius_on_c_alone(monkeypatch):
-    # at nb = 1 every b is 0: Frobenius may see it as a scalar, never as an
-    # array, so the only arrays it maps are the n - 1 images of the cs
+    # every b is 0: Frobenius may see it as a scalar, never as an array, so
+    # the only arrays it maps are the n - 1 images of the cs
     ctx = get_ctx(9)
     want = frobenius_reps(ctx)
     frobenius_array, seen = ctx.frobenius_array, []
@@ -323,6 +325,34 @@ def test_cyclotomic_cosets_run_frobenius_on_c_alone(monkeypatch):
     arrays = [x for x in seen if np.ndim(x)]
     assert len(arrays) == ctx.n - 1 and all(x.all() for x in arrays)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("family", ["gold2", "gold3", "kasami5"])
+def test_fold_keys_match_the_scalar_fold(family, n):
+    # x -> lambda*x with b * lambda^d1 = 1 and squaring take each (a, b, c)
+    # to a cell (a', 1, c'), keyed c' * 2^n + a', with c' a c of the row
+    # b = 1 of orbit_rows.  At n = 9, b and c from GF(8) give c' a coset of
+    # size 3 whose stabiliser moves a': the key holds the least of its
+    # three images, as the scalar fold takes it
+    ctx, pair = get_ctx(n), get_pair(family, n)
+    rng = random.Random(n)
+    triples = [(rng.randrange(ctx.order), rng.randrange(1, ctx.order),
+                rng.randrange(1, ctx.order)) for _ in range(100)]
+    if n == 9:
+        sub = [ctx.pow(ctx.generator, 73 * i) for i in range(7)]  # GF(8)*
+        triples += [(rng.randrange(ctx.order), b, c) for b in sub for c in sub]
+    if family == "kasami5":
+        want = [scalar_kasami_fold(ctx, pair.param, *t) for t in triples]
+    else:
+        want = [scalar_fold(ctx, (1, pair.d1, pair.d2), *t) for t in triples]
+    keys = spectrum.fold_keys(ctx, pair, *np.array(triples).T)
+    assert keys.tolist() == [c << n | a for a, _, c in want]
+    _, cs, _ = next(spectrum.orbit_rows(ctx, pair.d1))
+    assert np.isin(keys >> n, cs).all()
+    if n == 9:
+        moved = [a for a, *_ in triples[100:] if len({ctx.frobenius(a, j) for j in (0, 3, 6)}) > 1]
+        assert len(moved) > 40
 
 
 @pytest.mark.parametrize("n,d1,d2", [(5, 3, 7), (9, 7, 3), (7, 5, 11)])
