@@ -30,7 +30,10 @@ scan checks each (1, c), a staying out of L; the kasami5 scan checks every
 cell (a, 1, c), a in L, since its L involves a.  Seeded samples check the
 invariance rather than assume it.  The kasami5 scan evaluates L at every u,
 to check |K| against the rank of L's columns, but Tr Q and G only on K,
-where its checks read them.  On K, u*L(u) = 0, so the functional equation
+where its checks read them.  At n <= 7 it gathers L, the naive sum behind F,
+Q and G from per-coefficient tables built once per call (`_KasamiForms`),
+which change only the order in which a value's field products are xored.
+On K, u*L(u) = 0, so the functional equation
 reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1}
 requires.
 Off K, test_g_form_functional_equation and test_g_form_flags_kernel_membership
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
+from . import gf2, spectrum
 from .field import FieldCtx
 from .functions import FamilySpec, MonomialPair, family_exponents, gold_shift
 from .spectrum import _batches, _row_batches, fold_keys, orbit_rows, record, transform_single
@@ -263,38 +266,129 @@ class KasamiKernelSummary:
 
 
 def _kasami_q_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """Q(u) at every point of us, with a, b, c scalars or arrays of its shape."""
+    """Q(u) at every point of us, with a, b, c scalars or arrays of its shape;
+    the terms of a None coefficient are left out."""
     q = 0
     for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
-        q = q ^ ctx.mul_array(coeff, ctx.pow_array(us, (1 << shift % ctx.n) + 1))
+        if coeff is not None:
+            q = q ^ ctx.mul_array(coeff, ctx.pow_array(us, (1 << shift % ctx.n) + 1))
     return q
 
 
 def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """G(u) at every point of us, with a, b, c arrays of its shape."""
+    """G(u) at every point of us, with a, b, c (or None) as in _kasami_q_array."""
     g = 0
     for which, cf, s1, s2 in _G_TERMS:
-        uu = ctx.pow_array(us, (1 << s1 * k % ctx.n) + (1 << s2 * k % ctx.n))
-        g = g ^ ctx.mul_array(ctx.frobenius_array((a, b, c)[which], cf * k), uu)
+        if (coeff := (a, b, c)[which]) is not None:
+            uu = ctx.pow_array(us, (1 << s1 * k % ctx.n) + (1 << s2 * k % ctx.n))
+            g = g ^ ctx.mul_array(ctx.frobenius_array(coeff, cf * k), uu)
     return g
 
 
-def _check_kasami_chunk(ctx: FieldCtx, pair: MonomialPair, k: int, a, b, c):
+_L, _NAIVE, _Q, _G = range(4)  # the forms of the slot tables, in their order
+
+
+class _KasamiForms:
+    """L, the naive sum, Q and G of one kasami5 scan, for a batch of triples.
+
+    Every term of L, of the exponent a*x + b*f(x) + c*g(x) of the naive sum,
+    of Q and of G reads one of a, b and c (its slot).  When the twelve
+    2^n x 2^n slot tables, each the sum of one form's terms that read one
+    slot at every coefficient and point, fit in one `spectrum._BATCH_CELLS`
+    budget (n <= 7), they are built once per scan: a batch's rows of L and
+    of the naive sum are then three row gathers xored into buffers that
+    every batch reuses, and Q and G at the kernel cells three cell gathers.
+    Above that every batch evaluates the forms at its own coefficients.
+    Either way a value is the same field products, only xored in another
+    order.
+    """
+
+    def __init__(self, ctx: FieldCtx, pair: MonomialPair) -> None:
+        self.ctx, self.pair, self.tables = ctx, pair, None
+        n, k, every = ctx.n, pair.param, np.arange(ctx.order)
+        if 12 << 2 * n <= spectrum._BATCH_CELLS:
+            # the narrowest type that holds a field element
+            self.tables = np.zeros((4, 3, ctx.order, ctx.order), np.min_scalar_type(ctx.order - 1))
+            ell = _kasami_terms(ctx.frobenius_array, k, every, every, every)
+            for i in range(3):
+                alone = [every[:, None] if j == i else None for j in range(3)]
+                self.tables[_L, i] = _eval_terms(ctx, ell[2 * i : 2 * i + 2], every)
+                self.tables[_NAIVE, i] = ctx.mul_array(alone[i], (every, pair.f_np, pair.g_np)[i])
+                self.tables[_Q, i] = _kasami_q_array(ctx, k, *alone, every)
+                self.tables[_G, i] = _kasami_g_array(ctx, k, *alone, every)
+            # L's rows, the naive sum's rows and one gather, grown to the largest batch
+            self.buffers = np.empty((3, 0, ctx.order), self.tables.dtype)
+
+    def _rows(self, form: int, coeffs) -> np.ndarray:
+        """The tabled form at every point, one row per triple, in the form's buffer."""
+        m = len(coeffs[0])
+        if m > self.buffers.shape[1]:
+            self.buffers = np.empty((3, m, self.ctx.order), self.tables.dtype)
+        out, part = self.buffers[form, :m], self.buffers[2, :m]
+        # mode="raise" would copy through a temporary; the coefficients are in range
+        np.take(self.tables[form, 0], coeffs[0], axis=0, out=out, mode="wrap")
+        for table, co in zip(self.tables[form, 1:], coeffs[1:]):
+            np.take(table, co, axis=0, out=part, mode="wrap")
+            out ^= part
+        return out
+
+    def ell_rows(self, a, b, c) -> np.ndarray:
+        """L at every point, one row per triple of the arrays a, b, c."""
+        if self.tables is None:
+            ctx = self.ctx
+            terms = _kasami_terms(ctx.frobenius_array, self.pair.param, a, b, c)
+            return _eval_terms(ctx, terms, np.arange(ctx.order))
+        return self._rows(_L, (a, b, c))
+
+    def transform(self, a, b, c) -> np.ndarray:
+        """F(a, b, c) by the naive sum, for each triple of the arrays a, b, c."""
+        if self.tables is None:
+            return transform_single(self.ctx, self.pair, a, b, c)
+        signs = self.ctx.trace_table[self._rows(_NAIVE, (a, b, c))]
+        return self.ctx.order - 2 * signs.sum(axis=1, dtype=np.int64)
+
+    def cells(self, form: int, a, b, c, us) -> np.ndarray:
+        """_Q or _G at the cells (a, b, c, u), one entry of each array per cell."""
+        if self.tables is None:
+            evaluate = _kasami_q_array if form == _Q else _kasami_g_array
+            return evaluate(self.ctx, self.pair.param, a, b, c, us)
+        n, flat = self.ctx.n, self.tables[form].reshape(3, -1)
+        return flat[0][a << n | us] ^ flat[1][b << n | us] ^ flat[2][c << n | us]
+
+
+def _substitution_checks(ctx: FieldCtx, pair: MonomialPair,
+                         rng: random.Random) -> tuple[bool, bool]:
+    """(the substitution x -> x^(2^k+1) permutes L, summing the substituted
+    Q over every x reproduces the naive sum from the pair's tables on 32
+    drawn triples).  A function of its own, so that its 32 x 2^n values of
+    Q are freed before the cells are checked."""
+    order, k = ctx.order, pair.param
+    sub = ctx.pow_array(np.arange(order), pow(2, k, ctx.group_order) + 1)
+    permutation_ok = len(set(sub.tolist())) == order
+    a, b, c = _draw_triples(rng, order, 32)
+    q = _kasami_q_array(ctx, k, a[:, None], b[:, None], c[:, None], np.arange(order))
+    totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
+    return permutation_ok, bool((totals == transform_single(ctx, pair, a, b, c)).all())
+
+
+def _check_kasami_chunk(forms: _KasamiForms, a, b, c):
     """Every per-triple identity check for a batch of (a, b, c) arrays, with
     Tr Q and G at the kernel cells (triple, u in K) only.
 
     Returns (s, the kernel elements of all triples in turn, |K|, S0 sizes,
     S1 sizes, Fw, consistent), one entry per triple but the second.
     """
-    lvals = _eval_terms(ctx, _kasami_terms(ctx.frobenius_array, k, a, b, c), np.arange(ctx.order))
+    ctx = forms.ctx
+    lvals = forms.ell_rows(a, b, c)
     s = ctx.n - gf2.rank_array(lvals[:, 1 << np.arange(ctx.n)], ctx.n)
     rows, us = np.nonzero(lvals == 0)
     size = np.bincount(rows, minlength=len(a))
-    tr_zero = ctx.trace_table[_kasami_q_array(ctx, k, a[rows], b[rows], c[rows], us)] == 0
+    at = (a[rows], b[rows], c[rows], us)
+    tr_zero = ctx.trace_table[forms.cells(_Q, *at)] == 0
     s0 = np.bincount(rows[tr_zero], minlength=len(a))
     s1 = size - s0
-    fw = transform_single(ctx, pair, a, b, c)
-    g = _kasami_g_array(ctx, k, a[rows], b[rows], c[rows], us)
+    fw = forms.transform(a, b, c)
+    g = forms.cells(_G, *at)
 
     ok = size == 1 << s
     ok &= fw * fw == ctx.order * (s0 - s1)
@@ -326,7 +420,7 @@ def kasami_kernel_scan(
     if pair.family != "kasami5":
         raise ValueError("kasami kernel scan expects a kasami5 pair")
     k = pair.param
-    n, order, N = ctx.n, ctx.order, ctx.group_order
+    n, order = ctx.n, ctx.order
     if exhaustive is None:
         exhaustive = n <= KASAMI_EXHAUSTIVE_MAX_N
     if exhaustive and (pair.d1, pair.d2) != family_exponents(FamilySpec("kasami5", k), n):
@@ -336,18 +430,9 @@ def kasami_kernel_scan(
                          f" n = 13 in an estimated half hour: n <= 11, got {n}")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
+    forms = _KasamiForms(ctx, pair)
     rng = random.Random(seed)
-
-    # The substitution x -> x^(2^k+1) must be a permutation of L.
-    sub = ctx.pow_array(np.arange(order), pow(2, k, N) + 1)
-    permutation_ok = len(set(sub.tolist())) == order
-
-    # Summing the substituted form Q(x) over all x must reproduce the
-    # transform computed from the original pair tables, on 32 drawn triples.
-    a, b, c = _draw_triples(rng, order, 32)
-    q = _kasami_q_array(ctx, k, a[:, None], b[:, None], c[:, None], np.arange(order))
-    totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
-    substitution_ok = bool((totals == transform_single(ctx, pair, a, b, c)).all())
+    permutation_ok, substitution_ok = _substitution_checks(ctx, pair, rng)
 
     if exhaustive:  # d1 is a unit mod 2^n - 1 at odd n: b = 1 is the one row
         _, cs, weights = next(orbit_rows(ctx, pair.d1))
@@ -359,7 +444,7 @@ def kasami_kernel_scan(
         cell = np.arange(part.start, part.stop)
         a, b, c = ((cell & (order - 1), np.ones_like(cell), cs[cell >> n]) if exhaustive
                    else _draw_triples(rng, order, cell.size))
-        s, kernels, size, s0, s1, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        s, kernels, size, s0, s1, fw, ok = _check_kasami_chunk(forms, a, b, c)
         keep = len(a) if keep_reports < 0 else min(len(a), keep_reports - len(reports))
         ends = np.cumsum(size[:keep]).tolist()
         for i, end in enumerate(ends):
@@ -374,9 +459,9 @@ def kasami_kernel_scan(
     if exhaustive:
         a, b, c = _draw_triples(rng, order, _ORACLE_SAMPLES)
         key = fold_keys(ctx, pair, a, b, c)
-        s, _, *values, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
-        r_s, _, *r_values, _ = _check_kasami_chunk(ctx, pair, k, key & (order - 1),
-                                                   np.ones_like(key), key >> n)
+        s, _, *values, ok = _check_kasami_chunk(forms, a, b, c)
+        r_s, _, *r_values, _ = _check_kasami_chunk(forms, key & (order - 1), np.ones_like(key),
+                                                   key >> n)
         ok &= np.isin(key >> n, cs) & (np.stack([s, *values]) == np.stack([r_s, *r_values])).all(0)
         failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]
     return KasamiKernelSummary(

@@ -42,6 +42,7 @@ from tecc.kernel import (
     KasamiKernelSummary,
     KernelReport,
     LinearizedMap,
+    _KasamiForms,
     _check_kasami_chunk,
     _draw_triples,
     _kasami_terms,
@@ -592,6 +593,7 @@ def unfolded_kasami_scan(ctx, pair, seed: int = 0):
     L x L* x L* in (b, c, a) order through the batched per-triple checks,
     64 triples at a time.  It keeps no reports."""
     k, order, chunk = pair.param, ctx.order, 64
+    forms = _KasamiForms(ctx, pair)
     permutation_ok, substitution_ok = _scalar_substitution_checks(ctx, pair, random.Random(seed))
     total = order * (order - 1) ** 2
     failures: list[tuple[int, int, int]] = []
@@ -601,7 +603,7 @@ def unfolded_kasami_scan(ctx, pair, seed: int = 0):
         idx = np.arange(start, min(start + chunk, total))
         rest = idx // order
         a, b, c = idx % order, 1 + rest // (order - 1), 1 + rest % (order - 1)
-        s, _, _, s0, _, fw, ok = _check_kasami_chunk(ctx, pair, k, a, b, c)
+        s, _, _, s0, _, fw, ok = _check_kasami_chunk(forms, a, b, c)
         max_s = max(max_s, int(s.max()))
         s0_sizes.update(s0[fw != 0].tolist())
         failures += [tuple(t) for t in np.stack([a, b, c], axis=1)[~ok].tolist()]

@@ -537,7 +537,7 @@ def test_kasami_exhaustive_scan_streams_its_cells(monkeypatch):
         traced.append(tracemalloc.get_traced_memory()[1])
         return fold(*args)
 
-    def unchecked(ctx, pair, k, a, b, c):
+    def unchecked(forms, a, b, c):
         seen[a.size] += 1
         zeros = np.zeros_like(a)
         return zeros, zeros[:0], zeros, zeros, zeros, zeros, zeros == 0
@@ -621,15 +621,17 @@ def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
     assert small == scalar_kasami_kernel_scan(ctx, pair)
 
 
-def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch):
-    # batches of 4 cells at n = 7, and every triple with 3 | c marked
-    # failing: the failing cells of many batches come back in (c, a)
-    # order, then the failing samples in draw order
-    ctx, pair = get_ctx(7), get_pair("kasami5", 7)
+@pytest.mark.parametrize("n", [7, 5])
+def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch, n):
+    # 2^14 cells make batches of 4 cells at n = 7, on the per-triple path,
+    # and of 16 at n = 5, where the 12 * 4^5 cells of the slot tables fit;
+    # every triple with 3 | c marked failing: the failing cells of many
+    # batches come back in (c, a) order, then the failing samples in draw order
+    ctx, pair = get_ctx(n), get_pair("kasami5", n)
     check = kernel._check_kasami_chunk
 
-    def marked(ctx, pair, k, a, b, c):
-        *rest, ok = check(ctx, pair, k, a, b, c)
+    def marked(forms, a, b, c):
+        *rest, ok = check(forms, a, b, c)
         return (*rest, ok & (c % 3 != 0))
 
     monkeypatch.setattr(kernel, "_check_kasami_chunk", marked)
@@ -640,6 +642,67 @@ def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch):
     assert len(reps) > 4 * 4 and sampled
     assert summary.failures == reps + sampled
     assert summary.triples_checked == ctx.order * ctx.group_order ** 2
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kasami_slot_tables_agree_with_the_per_triple_path(monkeypatch, n, k):
+    # the tables change only the order in which each value's field products
+    # are xored: exhaustive and sampled, every field and report is the
+    # per-triple path's, which 8 * 4^n batch cells (no room for the twelve
+    # 4^n-cell tables) force
+    ctx = get_ctx(n)
+    pair = instantiate(FamilySpec("kasami5", k), ctx)
+    runs = [{}, dict(samples=300, seed=0, exhaustive=False),
+            dict(samples=300, seed=3, exhaustive=False)]
+    tabled = [kasami_kernel_scan(ctx, pair, keep_reports=-1, **run) for run in runs]
+    assert kernel._KasamiForms(ctx, pair).tables is not None
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << (2 * n + 3))
+    assert kernel._KasamiForms(ctx, pair).tables is None
+    assert [kasami_kernel_scan(ctx, pair, keep_reports=-1, **run) for run in runs] == tabled
+    assert tabled[0].exhaustive and len(tabled[1].reports) == 300
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_kasami_slot_tables_match_the_term_oracles(n):
+    # on 64 seeded triples the tables' rows give the L of _eval_terms over
+    # _kasami_terms and the F of transform_single, and their cells the Q
+    # and G of the scalar forms at one drawn u per triple
+    ctx, pair = get_ctx(n), get_pair("kasami5", n)
+    k, rng = pair.param, random.Random(n)
+    forms = kernel._KasamiForms(ctx, pair)
+    assert forms.tables is not None
+    a, b, c = kernel._draw_triples(rng, ctx.order, 64)
+    want = kernel._eval_terms(ctx, kernel._kasami_terms(ctx.frobenius_array, k, a, b, c),
+                              np.arange(ctx.order))
+    assert (forms.ell_rows(a, b, c) == want).all()
+    assert (forms.transform(a, b, c) == transform_single(ctx, pair, a, b, c)).all()
+    us = np.array([rng.randrange(ctx.order) for _ in range(64)])
+    cells = list(zip(a.tolist(), b.tolist(), c.tolist(), us.tolist()))
+    assert forms.cells(kernel._Q, a, b, c, us).tolist() == [
+        kasami_quadratic(ctx, k, *cell) for cell in cells]
+    assert forms.cells(kernel._G, a, b, c, us).tolist() == [
+        kasami_g_form(ctx, k, *cell) for cell in cells]
+
+
+def test_kasami_scan_frees_the_substitution_check_before_its_cells(monkeypatch):
+    # at n = 9, on the per-triple path, the substitution check's 32 x 512
+    # int64 values of Q (128 KiB) must be gone when the first batch starts
+    ctx, pair = get_ctx(9), get_pair("kasami5", 9)
+    check, traced = kernel._check_kasami_chunk, []
+
+    def first_batch(*args):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return check(*args)
+
+    monkeypatch.setattr(kernel, "_check_kasami_chunk", first_batch)
+    tracemalloc.start()
+    try:
+        summary = kasami_kernel_scan(ctx, pair, samples=40, exhaustive=False)
+    finally:
+        tracemalloc.stop()
+    assert summary.all_consistent and len(traced) == 1
+    assert traced[0] < 64 << 10
 
 
 def test_kasami_scan_checks_the_fold_on_its_samples(monkeypatch):
