@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -183,21 +184,29 @@ def weight3_syndromes_distinct(ctx: FieldCtx, pair: MonomialPair) -> bool:
 
     Equivalent to minimum distance >= 7, independently of any transform
     computation.  Columns are packed as 3n-bit int32 (x, f, g blocks, LSB
-    first, at most 21 bits); every pattern's syndrome is built by index
-    arithmetic and the sorted syndromes must not repeat.  Kept to
-    n <= DISTANCE_ORACLE_MAX_N (C(127,3) patterns at n = 7).
+    first, at most 21 bits) and every pattern's syndrome goes into one
+    preallocated array: the pairs ordered by their larger index, so the
+    pairs below l are a prefix of C(l, 2), and the triples of largest
+    index l that prefix xored with column l.  The sorted syndromes must
+    not repeat.  Kept to n <= DISTANCE_ORACLE_MAX_N (C(127,3) patterns at
+    n = 7).
     """
     if ctx.n > DISTANCE_ORACLE_MAX_N:
         raise ValueError(f"triple syndrome scan is limited to n <= {DISTANCE_ORACLE_MAX_N}")
     n = ctx.n
     cols = (np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)).astype(np.int32)
-    i, j = (idx.astype(np.int32) for idx in np.triu_indices(cols.size, 1))
-    pairs = cols[i] ^ cols[j]
-    # pair (i, j) extends to the triples (i, j, l) with j < l
-    reps = cols.size - 1 - j
-    syndromes = np.concatenate((np.zeros(1, np.int32), cols, pairs, np.repeat(pairs, reps)))
-    third = np.repeat(j + 1 - (np.cumsum(reps, dtype=np.int32) - reps), reps)
-    third += np.arange(third.size, dtype=np.int32)
-    syndromes[syndromes.size - third.size:] ^= cols[third]
+    m = cols.size
+    pairs_end = 1 + m + comb(m, 2)
+    syndromes = np.empty(pairs_end + comb(m, 3), np.int32)
+    syndromes[0] = 0
+    syndromes[1:1 + m] = cols
+    pairs = syndromes[1 + m:pairs_end]
+    high, low = np.tril_indices(m, -1)  # row-major: ordered by the larger index
+    np.bitwise_xor(cols[high], cols[low], out=pairs)
+    start = pairs_end
+    for last in range(2, m):
+        below = pairs[:comb(last, 2)]
+        np.bitwise_xor(below, cols[last], out=syndromes[start:start + below.size])
+        start += below.size
     syndromes.sort()
     return bool((syndromes[1:] != syndromes[:-1]).all())

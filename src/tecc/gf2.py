@@ -33,20 +33,22 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[int, list[int], list[int]]:
 
 
 def rank_array(rows, ncols: int) -> np.ndarray:
-    """GF(2) rank of every matrix in a batch, by array Gaussian elimination.
+    """GF(2) rank of every matrix in a batch, by array elimination.
 
-    rows[i] holds the row bitmasks (at most 31 bits) of matrix i.  For each
-    column the first row holding it is xored into every row holding it,
-    itself included, which takes the pivot row out of the matrix.
+    rows[i] holds the row bitmasks (at most 31 bits, so never negative) of
+    matrix i.  Each round takes p, the largest row of each matrix, and
+    replaces every row w by min(w, w ^ p).  That xors p into exactly the
+    rows holding p's top bit t, p itself included, and keeps the rest: so
+    no row keeps bit t, the rows left span a space p is not in, and a
+    nonzero p takes one from the rank.  min(ncols, number of rows) rounds
+    empty every matrix.
     """
-    work = np.array(rows, dtype=np.int32)
-    starts = np.arange(0, work.size, work.shape[1])  # each matrix's offset in work.ravel()
-    rank = np.zeros(work.shape[0], dtype=np.int64)
-    for col in range(ncols):
-        has = (work >> col) & 1
-        pivot = starts + has.argmax(axis=1)
-        work ^= has * work.ravel()[pivot][:, None]
-        rank += has.ravel()[pivot]
+    work = np.array(rows, dtype=np.int32).T.copy()  # work[r] is row r of every matrix
+    rank = np.zeros(work.shape[1], dtype=np.int64)
+    for _ in range(min(ncols, work.shape[0])):
+        pivot = work.max(axis=0)
+        np.minimum(work, work ^ pivot, out=work)
+        rank += pivot != 0
     return rank
 
 

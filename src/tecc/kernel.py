@@ -31,8 +31,11 @@ cell (a, 1, c), a in L, since its L involves a.  Seeded samples check the
 invariance rather than assume it.  The kasami5 scan evaluates L at every u,
 to check |K| against the rank of L's columns, but Tr Q and G only on K,
 where its checks read them.  At n <= 7 it gathers L, the naive sum behind F,
-Q and G from per-coefficient tables built once per call (`_KasamiForms`),
-which change only the order in which a value's field products are xored.
+Q and G from per-coefficient tables built once per call (`_KasamiForms`).
+Those of L, Q and G change only the order in which a value's field
+products are xored; those of the naive sum hold each term's trace bits,
+packed 8 points a byte, which is exact as Tr is GF(2)-linear: the trace of
+a*x + b*f(x) + c*g(x) is the xor of its three terms' traces.
 On K, u*L(u) = 0, so the functional equation
 reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1}
 requires.
@@ -285,22 +288,25 @@ def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarra
     return g
 
 
-_L, _NAIVE, _Q, _G = range(4)  # the forms of the slot tables, in their order
+_L, _Q, _G = range(3)  # the forms of the field-valued slot tables, in their order
 
 
 class _KasamiForms:
     """L, the naive sum, Q and G of one kasami5 scan, for a batch of triples.
 
     Every term of L, of the exponent a*x + b*f(x) + c*g(x) of the naive sum,
-    of Q and of G reads one of a, b and c (its slot).  When the twelve
-    2^n x 2^n slot tables, each the sum of one form's terms that read one
-    slot at every coefficient and point, fit in one `spectrum._BATCH_CELLS`
-    budget (n <= 7), they are built once per scan: a batch's rows of L and
-    of the naive sum are then three row gathers xored into buffers that
-    every batch reuses, and Q and G at the kernel cells three cell gathers.
-    Above that every batch evaluates the forms at its own coefficients.
-    Either way a value is the same field products, only xored in another
-    order.
+    of Q and of G reads one of a, b and c (its slot).  When twelve
+    2^n x 2^n tables fit one `spectrum._BATCH_CELLS` budget (n <= 7), the
+    slot tables, each one form's terms that read one slot at every
+    coefficient and point, are built once per scan.  L, Q and G's tables
+    hold the sum of those terms: a batch's rows of L are three row gathers
+    xored into buffers that every batch reuses, and Q and G at the kernel
+    cells three cell gathers, so each value is the same field products,
+    only xored in another order.  The naive sum's tables hold Tr of their
+    term, 8 points a byte: Tr is GF(2)-linear, so Tr(a*x + b*f(x) + c*g(x))
+    is the xor of the three terms' traces, and F is 2^n less twice the
+    popcount of three xored packed rows.  Above that budget every batch
+    evaluates the forms at its own coefficients.
     """
 
     def __init__(self, ctx: FieldCtx, pair: MonomialPair) -> None:
@@ -308,44 +314,41 @@ class _KasamiForms:
         n, k, every = ctx.n, pair.param, np.arange(ctx.order)
         if 12 << 2 * n <= spectrum._BATCH_CELLS:
             # the narrowest type that holds a field element
-            self.tables = np.zeros((4, 3, ctx.order, ctx.order), np.min_scalar_type(ctx.order - 1))
+            self.tables = np.zeros((3, 3, ctx.order, ctx.order), np.min_scalar_type(ctx.order - 1))
             ell = _kasami_terms(ctx.frobenius_array, k, every, every, every)
             for i in range(3):
                 alone = [every[:, None] if j == i else None for j in range(3)]
                 self.tables[_L, i] = _eval_terms(ctx, ell[2 * i : 2 * i + 2], every)
-                self.tables[_NAIVE, i] = ctx.mul_array(alone[i], (every, pair.f_np, pair.g_np)[i])
                 self.tables[_Q, i] = _kasami_q_array(ctx, k, *alone, every)
                 self.tables[_G, i] = _kasami_g_array(ctx, k, *alone, every)
-            # L's rows, the naive sum's rows and one gather, grown to the largest batch
-            self.buffers = np.empty((3, 0, ctx.order), self.tables.dtype)
-
-    def _rows(self, form: int, coeffs) -> np.ndarray:
-        """The tabled form at every point, one row per triple, in the form's buffer."""
-        m = len(coeffs[0])
-        if m > self.buffers.shape[1]:
-            self.buffers = np.empty((3, m, self.ctx.order), self.tables.dtype)
-        out, part = self.buffers[form, :m], self.buffers[2, :m]
-        # mode="raise" would copy through a temporary; the coefficients are in range
-        np.take(self.tables[form, 0], coeffs[0], axis=0, out=out, mode="wrap")
-        for table, co in zip(self.tables[form, 1:], coeffs[1:]):
-            np.take(table, co, axis=0, out=part, mode="wrap")
-            out ^= part
-        return out
+            self.traces = np.stack([
+                np.packbits(ctx.trace_table[ctx.mul_array(every[:, None], term)], axis=1)
+                for term in (every, pair.f_np, pair.g_np)])
+            # L's rows and one gather, grown to the largest batch
+            self.buffers = np.empty((2, 0, ctx.order), self.tables.dtype)
 
     def ell_rows(self, a, b, c) -> np.ndarray:
         """L at every point, one row per triple of the arrays a, b, c."""
+        ctx = self.ctx
         if self.tables is None:
-            ctx = self.ctx
             terms = _kasami_terms(ctx.frobenius_array, self.pair.param, a, b, c)
             return _eval_terms(ctx, terms, np.arange(ctx.order))
-        return self._rows(_L, (a, b, c))
+        if len(a) > self.buffers.shape[1]:
+            self.buffers = np.empty((2, len(a), ctx.order), self.tables.dtype)
+        out, part = self.buffers[:, :len(a)]
+        # mode="raise" would copy through a temporary; the coefficients are in range
+        np.take(self.tables[_L, 0], a, axis=0, out=out, mode="wrap")
+        for table, coeffs in zip(self.tables[_L, 1:], (b, c)):
+            np.take(table, coeffs, axis=0, out=part, mode="wrap")
+            out ^= part
+        return out
 
     def transform(self, a, b, c) -> np.ndarray:
         """F(a, b, c) by the naive sum, for each triple of the arrays a, b, c."""
         if self.tables is None:
             return transform_single(self.ctx, self.pair, a, b, c)
-        signs = self.ctx.trace_table[self._rows(_NAIVE, (a, b, c))]
-        return self.ctx.order - 2 * signs.sum(axis=1, dtype=np.int64)
+        ones = self.traces[0][a] ^ self.traces[1][b] ^ self.traces[2][c]
+        return self.ctx.order - 2 * np.bitwise_count(ones).sum(axis=1, dtype=np.int64)
 
     def cells(self, form: int, a, b, c, us) -> np.ndarray:
         """_Q or _G at the cells (a, b, c, u), one entry of each array per cell."""
@@ -381,7 +384,9 @@ def _check_kasami_chunk(forms: _KasamiForms, a, b, c):
     ctx = forms.ctx
     lvals = forms.ell_rows(a, b, c)
     s = ctx.n - gf2.rank_array(lvals[:, 1 << np.arange(ctx.n)], ctx.n)
-    rows, us = np.nonzero(lvals == 0)
+    # np.nonzero on the 2-D mask is several times slower than on its flat view
+    zeros = np.flatnonzero(lvals == 0)
+    rows, us = zeros >> ctx.n, zeros & (ctx.order - 1)
     size = np.bincount(rows, minlength=len(a))
     at = (a[rows], b[rows], c[rows], us)
     tr_zero = ctx.trace_table[forms.cells(_Q, *at)] == 0

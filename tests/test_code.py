@@ -229,7 +229,20 @@ def test_weight3_scan_peak_memory_n7():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 << 20
+    assert peak < 3 << 20
+
+
+def test_weight3_scan_matches_scalar_oracle_on_coset_leader_pairs():
+    # every pair of distinct cyclotomic coset leaders mod 31, APN or not:
+    # their collisions fall in many of the weight-3 prefix blocks
+    ctx = get_ctx(5)
+    leaders = sorted({min(d * 2**j % 31 for j in range(5)) for d in range(1, 31)})
+    verdicts = []
+    for d1, d2 in combinations(leaders, 2):
+        pair = MonomialPair(5, d1, d2, power_table(ctx, d1), power_table(ctx, d2))
+        verdicts.append(weight3_syndromes_distinct(ctx, pair))
+        assert verdicts[-1] == scalar_weight3_syndromes_distinct(ctx, pair), (d1, d2)
+    assert len(verdicts) == 15 and set(verdicts) == {True, False}
 
 
 def test_weight3_scan_detects_double_error_bch():

@@ -39,7 +39,19 @@ def _matrices(rng: random.Random, ncols: int) -> list[list[int]]:
 
 @pytest.mark.parametrize("ncols", range(1, 18))
 def test_rank_array_matches_row_reduce(ncols):
-    matrices = _matrices(random.Random(ncols), ncols)
+    rng = random.Random(ncols)
+    matrices = _matrices(rng, ncols)
     ranks = rank_array(np.array(matrices, dtype=np.int64), ncols)
     assert ranks.tolist() == [row_reduce(rows, ncols)[0] for rows in matrices]
     assert ranks[0] == 0 and ranks[1] == 1 and (ranks[2:6] == ncols).all()
+    # one row; ncols + 3 rows, where the rank stops at ncols; and zero rows
+    # among nonzero ones, each shape its own batch
+    size = 1 << ncols
+    single = [[0], [1 << (ncols - 1)]] + [[rng.randrange(size)] for _ in range(6)]
+    tall = [[rng.randrange(size) for _ in range(ncols + 3)] for _ in range(6)]
+    tall.append(rng.sample([1 << i for i in range(ncols)] + [0, 0, size - 1], ncols + 3))
+    zeroed = [[v if rng.random() < 0.5 else 0 for v in rows] for rows in _matrices(rng, ncols)]
+    batches = (single, tall, zeroed)
+    got = [rank_array(np.array(batch, dtype=np.int64), ncols).tolist() for batch in batches]
+    assert got == [[row_reduce(rows, ncols)[0] for rows in batch] for batch in batches]
+    assert got[0][:2] == [0, 1] and got[1][-1] == ncols
