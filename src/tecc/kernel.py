@@ -30,11 +30,11 @@ scan checks each (1, c), a staying out of L; the kasami5 scan checks every
 cell (a, 1, c), a in L, since its L involves a.  Seeded samples check the
 invariance rather than assume it.  The kasami5 scan evaluates L at every u,
 to check |K| against the rank of L's columns, but Tr Q and G only on K,
-where its checks read them.  At n <= 7 it gathers L, the naive sum behind F,
-Q and G from per-coefficient tables built once per call (`_KasamiForms`).
-Those of L, Q and G change only the order in which a value's field
-products are xored; those of the naive sum hold each term's trace bits,
-packed 8 points a byte, which is exact as Tr is GF(2)-linear: the trace of
+where its checks read them.  It gathers L, the naive sum behind F, Q and G
+from tables over the w-bit chunks of a coefficient (`_KasamiForms`).  Those
+of L, Q and G change only the order in which a value's field products are
+xored; those of the naive sum hold each term's trace bits, packed 8 points
+a byte, which is exact as Tr is GF(2)-linear: the trace of
 a*x + b*f(x) + c*g(x) is the xor of its three terms' traces.
 On K, u*L(u) = 0, so the functional equation
 reduces to G = G^(2^-k), i.e. G in GF(2) (gcd(k, n) = 1), which G in {0, 1}
@@ -288,83 +288,81 @@ def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarra
     return g
 
 
-_L, _Q, _G = range(3)  # the forms of the field-valued slot tables, in their order
+_L, _Q, _G = range(3)  # the forms of the field-valued tables, in their order
 
 
 class _KasamiForms:
     """L, the naive sum, Q and G of one kasami5 scan, for a batch of triples.
 
     Every term of L, of the exponent a*x + b*f(x) + c*g(x) of the naive sum,
-    of Q and of G reads one of a, b and c (its slot).  When twelve
-    2^n x 2^n tables fit one `spectrum._BATCH_CELLS` budget (n <= 7), the
-    slot tables, each one form's terms that read one slot at every
-    coefficient and point, are built once per scan.  L, Q and G's tables
-    hold the sum of those terms: a batch's rows of L are three row gathers
-    xored into buffers that every batch reuses, and Q and G at the kernel
-    cells three cell gathers, so each value is the same field products,
-    only xored in another order.  The naive sum's tables hold Tr of their
-    term, 8 points a byte: Tr is GF(2)-linear, so Tr(a*x + b*f(x) + c*g(x))
-    is the xor of the three terms' traces, and F is 2^n less twice the
-    popcount of three xored packed rows.  Above that budget every batch
-    evaluates the forms at its own coefficients.
+    of Q and of G reads one of a, b and c (its slot) and is GF(2)-linear in
+    it, so a form is the xor of its rows at its slots' w-bit chunks: a zero
+    row, then chunk j's values v > 0 at rows v + j*(2^w - 1) of the slot's
+    tables (w = n at n <= 7).  The naive sum's tables hold Tr of its terms.
     """
 
     def __init__(self, ctx: FieldCtx, pair: MonomialPair) -> None:
-        self.ctx, self.pair, self.tables = ctx, pair, None
         n, k, every = ctx.n, pair.param, np.arange(ctx.order)
-        if 12 << 2 * n <= spectrum._BATCH_CELLS:
-            # the narrowest type that holds a field element
-            self.tables = np.zeros((3, 3, ctx.order, ctx.order), np.min_scalar_type(ctx.order - 1))
-            ell = _kasami_terms(ctx.frobenius_array, k, every, every, every)
-            for i in range(3):
-                alone = [every[:, None] if j == i else None for j in range(3)]
-                self.tables[_L, i] = _eval_terms(ctx, ell[2 * i : 2 * i + 2], every)
-                self.tables[_Q, i] = _kasami_q_array(ctx, k, *alone, every)
-                self.tables[_G, i] = _kasami_g_array(ctx, k, *alone, every)
-            self.traces = np.stack([
-                np.packbits(ctx.trace_table[ctx.mul_array(every[:, None], term)], axis=1)
-                for term in (every, pair.f_np, pair.g_np)])
-            # L's rows and one gather, grown to the largest batch
-            self.buffers = np.empty((2, 0, ctx.order), self.tables.dtype)
+        for w in range(n, 0, -1):  # the widest chunk whose tables fit, else 1
+            # the coefficient of each row: 0, then each chunk's nonzero values
+            coeffs = np.concatenate([np.arange(j > 0, 1 << min(w, n - j)) << j for j in range(0, n, w)])
+            if 9 * coeffs.size << n <= spectrum._BATCH_CELLS:
+                break
+        # the narrowest type that holds a field element
+        tables = np.empty((3, 3, coeffs.size, ctx.order), np.min_scalar_type(ctx.order - 1))
+        traces = np.empty((3, coeffs.size, ctx.order // 8), np.uint8)
+        # a cell holds a few int64 temporaries, so slices 2^3 times shorter than a batch's
+        for part in _batches(n + 3, coeffs.size):
+            rows = coeffs[part]
+            ell = _kasami_terms(ctx.frobenius_array, k, rows, rows, rows)
+            for i, term in enumerate((every, pair.f_np, pair.g_np)):
+                alone = [rows[:, None] if j == i else None for j in range(3)]
+                tables[_L, i, part] = _eval_terms(ctx, ell[2 * i : 2 * i + 2], every)
+                tables[_Q, i, part] = _kasami_q_array(ctx, k, *alone, every)
+                tables[_G, i, part] = _kasami_g_array(ctx, k, *alone, every)
+                traces[i, part] = np.packbits(
+                    ctx.trace_table[ctx.mul_array(rows[:, None], term)], axis=1)
+        # each form's slots stacked, so slot i's rows follow i * coeffs.size others
+        self.tables, self.traces = tables.reshape(3, -1, ctx.order), traces.reshape(-1, ctx.order // 8)
+        self.ctx, self.width, self.shifts = ctx, w, np.arange(0, n, w)[:, None]
+        slots = np.arange(3)[:, None, None] * coeffs.size
+        self.offsets = (slots + self.shifts // w * ((1 << w) - 1)).reshape(-1, 1)
+        # L's rows and one gather, grown to the largest batch
+        self.buffers = np.empty((2, 0, ctx.order), self.tables.dtype)
 
-    def ell_rows(self, a, b, c) -> np.ndarray:
-        """L at every point, one row per triple of the arrays a, b, c."""
-        ctx = self.ctx
-        if self.tables is None:
-            terms = _kasami_terms(ctx.frobenius_array, self.pair.param, a, b, c)
-            return _eval_terms(ctx, terms, np.arange(ctx.order))
-        if len(a) > self.buffers.shape[1]:
-            self.buffers = np.empty((2, len(a), ctx.order), self.tables.dtype)
-        out, part = self.buffers[:, :len(a)]
-        # mode="raise" would copy through a temporary; the coefficients are in range
-        np.take(self.tables[_L, 0], a, axis=0, out=out, mode="wrap")
-        for table, coeffs in zip(self.tables[_L, 1:], (b, c)):
-            np.take(table, coeffs, axis=0, out=part, mode="wrap")
+    def batch_rows(self, a, b, c) -> np.ndarray:
+        """The rows of each slot's chunks in turn, one per triple of a, b, c."""
+        rows = (np.stack([a, b, c])[:, None] >> self.shifts & (1 << self.width) - 1).reshape(-1, len(a))
+        return np.add(rows, self.offsets, out=rows, where=rows != 0)
+
+    def ell_rows(self, rows) -> np.ndarray:
+        """L at every point, one row per triple of the `batch_rows` rows."""
+        if rows.shape[1] > self.buffers.shape[1]:
+            self.buffers = np.empty((2, rows.shape[1], self.ctx.order), self.tables.dtype)
+        out, part = self.buffers[:, :rows.shape[1]]
+        # mode="raise" would copy through a temporary; the rows are in range
+        np.take(self.tables[_L], rows[0], axis=0, out=out, mode="wrap")
+        for chunk in rows[1:]:
+            np.take(self.tables[_L], chunk, axis=0, out=part, mode="wrap")
             out ^= part
         return out
 
-    def transform(self, a, b, c) -> np.ndarray:
-        """F(a, b, c) by the naive sum, for each triple of the arrays a, b, c."""
-        if self.tables is None:
-            return transform_single(self.ctx, self.pair, a, b, c)
-        ones = self.traces[0][a] ^ self.traces[1][b] ^ self.traces[2][c]
+    def transform(self, rows) -> np.ndarray:
+        """F(a, b, c) by the naive sum, for each triple of the `batch_rows` rows."""
+        ones = np.bitwise_xor.reduce(self.traces[rows], axis=0)
         return self.ctx.order - 2 * np.bitwise_count(ones).sum(axis=1, dtype=np.int64)
 
-    def cells(self, form: int, a, b, c, us) -> np.ndarray:
-        """_Q or _G at the cells (a, b, c, u), one entry of each array per cell."""
-        if self.tables is None:
-            evaluate = _kasami_q_array if form == _Q else _kasami_g_array
-            return evaluate(self.ctx, self.pair.param, a, b, c, us)
-        n, flat = self.ctx.n, self.tables[form].reshape(3, -1)
-        return flat[0][a << n | us] ^ flat[1][b << n | us] ^ flat[2][c << n | us]
+    def cells(self, form: int, cells) -> np.ndarray:
+        """_Q or _G at the cells row << n | u of each `batch_rows` row."""
+        return np.bitwise_xor.reduce(self.tables[form].reshape(-1)[cells], axis=0)
 
 
 def _substitution_checks(ctx: FieldCtx, pair: MonomialPair,
                          rng: random.Random) -> tuple[bool, bool]:
     """(the substitution x -> x^(2^k+1) permutes L, summing the substituted
     Q over every x reproduces the naive sum from the pair's tables on 32
-    drawn triples).  A function of its own, so that its 32 x 2^n values of
-    Q are freed before the cells are checked."""
+    drawn triples).  A function of its own, called before the tables are
+    built, so that its 32 x 2^n values of Q are freed by then."""
     order, k = ctx.order, pair.param
     sub = ctx.pow_array(np.arange(order), pow(2, k, ctx.group_order) + 1)
     permutation_ok = len(set(sub.tolist())) == order
@@ -382,18 +380,19 @@ def _check_kasami_chunk(forms: _KasamiForms, a, b, c):
     S1 sizes, Fw, consistent), one entry per triple but the second.
     """
     ctx = forms.ctx
-    lvals = forms.ell_rows(a, b, c)
+    index = forms.batch_rows(a, b, c)
+    lvals = forms.ell_rows(index)
     s = ctx.n - gf2.rank_array(lvals[:, 1 << np.arange(ctx.n)], ctx.n)
     # np.nonzero on the 2-D mask is several times slower than on its flat view
     zeros = np.flatnonzero(lvals == 0)
     rows, us = zeros >> ctx.n, zeros & (ctx.order - 1)
     size = np.bincount(rows, minlength=len(a))
-    at = (a[rows], b[rows], c[rows], us)
-    tr_zero = ctx.trace_table[forms.cells(_Q, *at)] == 0
+    cells = np.take(index, rows, axis=1) << ctx.n | us
+    tr_zero = ctx.trace_table[forms.cells(_Q, cells)] == 0
     s0 = np.bincount(rows[tr_zero], minlength=len(a))
     s1 = size - s0
-    fw = forms.transform(a, b, c)
-    g = forms.cells(_G, *at)
+    fw = forms.transform(index)
+    g = forms.cells(_G, cells)
 
     ok = size == 1 << s
     ok &= fw * fw == ctx.order * (s0 - s1)
@@ -432,12 +431,12 @@ def kasami_kernel_scan(
         raise ValueError(f"kernel scan expects the exponents of kasami5, got {pair.d1, pair.d2}")
     if exhaustive and n > 11:
         raise ValueError("the exhaustive kasami5 scan checks about 2^(2n)/n cells (a, c), 5M at"
-                         f" n = 13 in an estimated half hour: n <= 11, got {n}")
+                         f" n = 13 in about four minutes: n <= 11, got {n}")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs samples >= 1, got {samples}")
-    forms = _KasamiForms(ctx, pair)
     rng = random.Random(seed)
     permutation_ok, substitution_ok = _substitution_checks(ctx, pair, rng)
+    forms = _KasamiForms(ctx, pair)
 
     if exhaustive:  # d1 is a unit mod 2^n - 1 at odd n: b = 1 is the one row
         _, cs, weights = next(orbit_rows(ctx, pair.d1))

@@ -38,6 +38,7 @@ from tecc.gf2 import rank_array, row_reduce, to_bits, to_int
 from tecc.kernel import (
     _G_TERMS,
     _ORACLE_SAMPLES,
+    _Q,
     GoldKernelSummary,
     KasamiKernelSummary,
     KernelReport,
@@ -45,6 +46,9 @@ from tecc.kernel import (
     _KasamiForms,
     _check_kasami_chunk,
     _draw_triples,
+    _eval_terms,
+    _kasami_g_array,
+    _kasami_q_array,
     _kasami_terms,
     gold_map,
 )
@@ -586,6 +590,33 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
         failures=failures,
         reports=reports,
     )
+
+
+class PerTripleForms:
+    """The forms of `kernel._KasamiForms` evaluated at each batch's own
+    coefficients, with no table: L by `_eval_terms` over `_kasami_terms`,
+    F by `transform_single`, and Q and G by `_kasami_q_array` and
+    `_kasami_g_array`.  Its batch rows are the coefficients themselves, one
+    chunk, so a kernel cell is coefficient << n | u.  Set in place of
+    `kernel._KasamiForms`, it runs the scan on the per-triple forms."""
+
+    def __init__(self, ctx, pair):
+        self.ctx, self.pair = ctx, pair
+
+    def batch_rows(self, a, b, c):
+        return np.stack([a, b, c])
+
+    def ell_rows(self, rows):
+        terms = _kasami_terms(self.ctx.frobenius_array, self.pair.param, *rows)
+        return _eval_terms(self.ctx, terms, np.arange(self.ctx.order))
+
+    def transform(self, rows):
+        return transform_single(self.ctx, self.pair, *rows)
+
+    def cells(self, form, cells):
+        evaluate = _kasami_q_array if form == _Q else _kasami_g_array
+        us = cells[0] & (self.ctx.order - 1)
+        return evaluate(self.ctx, self.pair.param, *cells >> self.ctx.n, us)
 
 
 def unfolded_kasami_scan(ctx, pair, seed: int = 0):

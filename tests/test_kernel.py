@@ -25,6 +25,7 @@ from tecc.functions import gold_shift
 import helpers
 
 from helpers import (
+    PerTripleForms,
     eval_matrix,
     get_ctx,
     get_pair,
@@ -623,8 +624,8 @@ def test_kasami_chunk_boundaries_cannot_leak_into_the_kernel_cells(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 5])
 def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch, n):
-    # 2^14 cells make batches of 4 cells at n = 7, on the per-triple path,
-    # and of 16 at n = 5, where the 12 * 4^5 cells of the slot tables fit;
+    # 2^14 cells make batches of 4 cells at n = 7, with 2-bit chunks, and
+    # of 16 at n = 5, in one chunk;
     # every triple with 3 | c marked failing: the failing cells of many
     # batches come back in (c, a) order, then the failing samples in draw order
     ctx, pair = get_ctx(n), get_pair("kasami5", n)
@@ -646,54 +647,101 @@ def test_kasami_scan_failures_keep_their_order_across_batches(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [5, 7])
 @pytest.mark.parametrize("k", [1, 2])
-def test_kasami_slot_tables_agree_with_the_per_triple_path(monkeypatch, n, k):
-    # the tables change only the order in which each value's field products
-    # are xored: exhaustive and sampled, every field and report is the
-    # per-triple path's, which 8 * 4^n batch cells (no room for the twelve
-    # 4^n-cell tables) force
+def test_kasami_chunk_widths_agree(monkeypatch, n, k):
+    # the chunked tables change only the order in which each value's field
+    # products are xored: exhaustive and sampled, every field and report of
+    # one chunk (the default budget) is that of several (2^(2n+3) batch
+    # cells) and that of the forms evaluated at each triple
     ctx = get_ctx(n)
     pair = instantiate(FamilySpec("kasami5", k), ctx)
     runs = [{}, dict(samples=300, seed=0, exhaustive=False),
             dict(samples=300, seed=3, exhaustive=False)]
-    tabled = [kasami_kernel_scan(ctx, pair, keep_reports=-1, **run) for run in runs]
-    assert kernel._KasamiForms(ctx, pair).tables is not None
+
+    def scans():
+        return [kasami_kernel_scan(ctx, pair, keep_reports=-1, **run) for run in runs]
+
+    one_chunk = scans()
+    assert kernel._KasamiForms(ctx, pair).width == n
     monkeypatch.setattr(spectrum, "_BATCH_CELLS", 1 << (2 * n + 3))
-    assert kernel._KasamiForms(ctx, pair).tables is None
-    assert [kasami_kernel_scan(ctx, pair, keep_reports=-1, **run) for run in runs] == tabled
-    assert tabled[0].exhaustive and len(tabled[1].reports) == 300
+    assert kernel._KasamiForms(ctx, pair).width < n
+    assert scans() == one_chunk
+    monkeypatch.setattr(kernel, "_KasamiForms", PerTripleForms)
+    assert scans() == one_chunk
+    assert one_chunk[0].exhaustive and len(one_chunk[1].reports) == 300
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_kasami_slot_tables_match_the_term_oracles(n):
+@pytest.mark.parametrize("n, budget", [
+    pytest.param(5, None, id="5"),
+    pytest.param(7, None, id="7"),
+    pytest.param(5, 1 << 13, id="5-chunked"),
+    pytest.param(7, 1 << 17, id="7-chunked"),
+    pytest.param(9, None, id="9"),
+    pytest.param(11, None, id="11"),
+])
+def test_kasami_slot_tables_match_the_term_oracles(monkeypatch, n, budget):
     # on 64 seeded triples the tables' rows give the L of _eval_terms over
     # _kasami_terms and the F of transform_single, and their cells the Q
-    # and G of the scalar forms at one drawn u per triple
+    # and G of the scalar forms at one drawn u per triple: in one chunk at
+    # the default budget to n = 7, and past it in several, the last partial
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "_BATCH_CELLS", budget)
     ctx, pair = get_ctx(n), get_pair("kasami5", n)
     k, rng = pair.param, random.Random(n)
     forms = kernel._KasamiForms(ctx, pair)
-    assert forms.tables is not None
+    assert forms.width == n if n <= 7 and budget is None else n % forms.width > 0
     a, b, c = kernel._draw_triples(rng, ctx.order, 64)
+    rows = forms.batch_rows(a, b, c)
     want = kernel._eval_terms(ctx, kernel._kasami_terms(ctx.frobenius_array, k, a, b, c),
                               np.arange(ctx.order))
-    assert (forms.ell_rows(a, b, c) == want).all()
-    assert (forms.transform(a, b, c) == transform_single(ctx, pair, a, b, c)).all()
+    assert (forms.ell_rows(rows) == want).all()
+    assert (forms.transform(rows) == transform_single(ctx, pair, a, b, c)).all()
     us = np.array([rng.randrange(ctx.order) for _ in range(64)])
     cells = list(zip(a.tolist(), b.tolist(), c.tolist(), us.tolist()))
-    assert forms.cells(kernel._Q, a, b, c, us).tolist() == [
+    assert forms.cells(kernel._Q, rows << n | us).tolist() == [
         kasami_quadratic(ctx, k, *cell) for cell in cells]
-    assert forms.cells(kernel._G, a, b, c, us).tolist() == [
+    assert forms.cells(kernel._G, rows << n | us).tolist() == [
         kasami_g_form(ctx, k, *cell) for cell in cells]
 
 
+def test_kasami_chunk_rows_agree_at_every_width(monkeypatch):
+    # each coefficient 0..127 alone in each slot, at every point: every chunk
+    # width's L rows, F and Q and G cells are the one-chunk tables', which a
+    # wrong zero-row remap or a wrongly masked last chunk would break where
+    # the seeded scans may not look
+    ctx, pair = get_ctx(7), get_pair("kasami5", 7)
+    every, zero = np.arange(ctx.order), np.zeros(ctx.order, np.int64)
+
+    def values(forms):
+        out = []
+        for slot in range(3):
+            rows = forms.batch_rows(*[every if j == slot else zero for j in range(3)])
+            cells = (rows[..., None] << ctx.n | every).reshape(len(rows), -1)
+            out += [forms.ell_rows(rows).copy(), forms.transform(rows),
+                    forms.cells(kernel._Q, cells), forms.cells(kernel._G, cells)]
+        return out
+
+    one_chunk = values(kernel._KasamiForms(ctx, pair))
+    for w in range(1, 8):
+        # the zero row and each chunk's nonzero values fill the nine tables
+        rows = 1 + sum((1 << min(w, 7 - lo)) - 1 for lo in range(0, 7, w))
+        monkeypatch.setattr(spectrum, "_BATCH_CELLS", 9 * rows << ctx.n)
+        forms = kernel._KasamiForms(ctx, pair)
+        assert forms.width == w and forms.tables.shape[1] == 3 * rows
+        for got, want in zip(values(forms), one_chunk, strict=True):
+            assert (got == want).all(), w
+
+
 def test_kasami_scan_frees_the_substitution_check_before_its_cells(monkeypatch):
-    # at n = 9, on the per-triple path, the substitution check's 32 x 512
-    # int64 values of Q (128 KiB) must be gone when the first batch starts
+    # at n = 9 the substitution check's 32 x 512 int64 values of Q (128 KiB)
+    # must be gone when the first batch starts, when the tables are all
+    # that a scan holds
     ctx, pair = get_ctx(9), get_pair("kasami5", 9)
     check, traced = kernel._check_kasami_chunk, []
 
-    def first_batch(*args):
-        traced.append(tracemalloc.get_traced_memory()[0])
-        return check(*args)
+    def first_batch(forms, a, b, c):
+        tables = forms.tables.nbytes + forms.traces.nbytes
+        traced.append(tracemalloc.get_traced_memory()[0] - tables)
+        return check(forms, a, b, c)
 
     monkeypatch.setattr(kernel, "_check_kasami_chunk", first_batch)
     tracemalloc.start()
@@ -745,8 +793,8 @@ def test_kasami_exhaustive_scan_refuses_exponents_off_its_family():
 
 
 def test_kasami_exhaustive_scan_refuses_n_above_11(monkeypatch):
-    # about 2^(2n)/n cells (a, c), 5M at n = 13, would take about half an
-    # hour: refused before the row of cells is built
+    # about 2^(2n)/n cells (a, c), 5M at n = 13, would take about four
+    # minutes: refused before the row of cells is built
     def unbuilt(ctx, d1):
         raise AssertionError("the row of cells was built")
 
