@@ -362,14 +362,18 @@ def _substitution_checks(ctx: FieldCtx, pair: MonomialPair,
     """(the substitution x -> x^(2^k+1) permutes L, summing the substituted
     Q over every x reproduces the naive sum from the pair's tables on 32
     drawn triples).  A function of its own, called before the tables are
-    built, so that its 32 x 2^n values of Q are freed by then."""
+    built, so that its values of Q are freed by then, and in the tables'
+    `_batches(n + 3)` slices of triples, so that its peak stays under theirs."""
     order, k = ctx.order, pair.param
     sub = ctx.pow_array(np.arange(order), pow(2, k, ctx.group_order) + 1)
     permutation_ok = len(set(sub.tolist())) == order
     a, b, c = _draw_triples(rng, order, 32)
-    q = _kasami_q_array(ctx, k, a[:, None], b[:, None], c[:, None], np.arange(order))
-    totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
-    return permutation_ok, bool((totals == transform_single(ctx, pair, a, b, c)).all())
+    substitution_ok = True
+    for s in _batches(ctx.n + 3, 32):
+        q = _kasami_q_array(ctx, k, a[s, None], b[s, None], c[s, None], np.arange(order))
+        totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
+        substitution_ok &= bool((totals == transform_single(ctx, pair, a[s], b[s], c[s])).all())
+    return permutation_ok, substitution_ok
 
 
 def _check_kasami_chunk(forms: _KasamiForms, a, b, c):

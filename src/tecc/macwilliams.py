@@ -1,18 +1,20 @@
 """Weight distribution of a code from its dual, via exact Krawtchouk sums.
 
-A_w(C) = 2^(-dual_dim) * sum over v of A_v(dual) * K_w(v), with all
-arithmetic in exact big integers; any non-integral or negative coefficient
-is an error, not a rounding case.  The binary Krawtchouk values satisfy the
-three-term recurrence in w
-
-    (w+1) K_(w+1)(v) = (N - 2v) K_w(v) - (N - w + 1) K_(w-1)(v)
-
-and the symmetry K_(N-w)(v) = (-1)^v K_w(v) (MacWilliams-Sloane, ch. 5),
-so the transform runs the recurrence for w <= N/2 only, keeping two values
-per dual support weight, and reads off A_w and A_(N-w) together.
+A_w(C) = S_w / 2^dual_dim with S_w = sum over v of A_v(dual) K_w(v), in exact
+big integers; a non-integral or negative A_w is an error, not a rounding case.
+The sums run at length L = N + 1 (2^n for the families): (1 + x) (1 - x)^v
+(1 + x)^(N-v) gives H_w = sum over v of A_v(dual) K^L_w(v) = S_w + S_(w-1).
+With (w+1) K^L_(w+1)(v) = (L - 2v) K^L_w(v) - (L - w + 1) K^L_(w-1)(v),
+K^L_(L-w)(v) = (-1)^v K^L_w(v) and K^L_w(L-v) = (-1)^w K^L_w(v) (MacWilliams-
+Sloane, ch. 5), one recurrence per class {v, L - v} (4 for the 6 dual weights
+of every family), for w <= L/2 only, gives H_w and H_(L-w) from the same
+products.  One upward pass S_w = H_w - S_(w-1) then writes A_w over H_w in
+place, and H_L = S_N closes it.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .code import WeightDistribution
 
@@ -45,37 +47,45 @@ def macwilliams_transform(dual_dist: WeightDistribution, dual_dim: int) -> Weigh
     """
     N = dual_dist.length
     check_length(N)
+    if not 0 <= dual_dim <= N:
+        raise ValueError(f"dual_dim must lie in [0, N]: got dual_dim = {dual_dim} at N = {N}")
     if dual_dist.total() != 1 << dual_dim:
         raise ValueError(f"distribution mass {dual_dist.total()} != 2^{dual_dim}")
-    scale = 1 << dual_dim
-    # Support weights, even v first: E_w sums the first `split` terms and
-    # O_w the rest, so A_w = (E_w + O_w)/scale and A_(N-w) = (E_w - O_w)/scale.
-    support = sorted(((v, a) for v, a in enumerate(dual_dist.coeffs) if a), key=lambda t: t[0] & 1)
-    split = sum(1 for v, _ in support if v % 2 == 0)
-    slopes = [N - 2 * v for v, _ in support]
-    masses = [a for _, a in support]
-    prev = [0] * len(support)   # K_(w-1)(v)
-    cur = [1] * len(support)    # K_w(v)
-    coeffs = [0] * (N + 1)
-    failed = None               # (w, numerator) of the smallest failing w so far
-    for w in range(N // 2 + 1):
-        terms = [a * k for a, k in zip(masses, cur)]
+    L, scale, a = N + 1, 1 << dual_dim, dual_dist.coeffs
+    # One class per r = min(v, L - v), even r first, with factor a_r + (-1)^w a_(L-r)
+    # in H_w (masses[w & 1]) and that at the parity of w + L, signed (-1)^r, in H_(L-w).
+    reps = sorted({min(v, L - v) for v, av in enumerate(a) if av}, key=lambda r: r & 1)
+    split = sum(1 for r in reps if r % 2 == 0)
+    partners = [a[L - r] if 0 < r < L - r else 0 for r in reps]
+    masses = [a[r] + b for r, b in zip(reps, partners)], [a[r] - b for r, b in zip(reps, partners)]
+    slopes = [L - 2 * r for r in reps]
+    prev = [0] * len(reps)   # K^L_(w-1)(r)
+    cur = [1] * len(reps)    # K^L_w(r)
+    coeffs = [0] * (L + 1)   # H_0..H_L, then A_0..A_N over them
+    for w in range(L // 2 + 1):
+        terms = list(map(mul, masses[w & 1], cur))
         even, odd = sum(terms[:split]), sum(terms[split:])
-        for at, num in ((N - w, even - odd), (w, even + odd)):
-            if num < 0 or num & (scale - 1):
-                failed = (at, num)
-            coeffs[at] = num >> dual_dim
-        if failed is not None and failed[0] <= w:
-            break  # no later w, and no w > N/2, is smaller
+        coeffs[w] = even + odd
+        if L % 2:  # a class's two weights differ in parity
+            terms = list(map(mul, masses[~w & 1], cur))
+            even, odd = sum(terms[:split]), sum(terms[split:])
+        coeffs[L - w] = even - odd
+        back, step = L - w + 1, w + 1
         nxt = []
         for c, k, p in zip(slopes, cur, prev):
-            q, r = divmod(c * k - (N - w + 1) * p, w + 1)
+            q, r = divmod(c * k - back * p, step)
             if r:  # pragma: no cover
                 raise ArithmeticError("Krawtchouk recurrence lost integrality")
             nxt.append(q)
         prev, cur = cur, nxt
-    if failed is not None:
-        raise NonIntegralResult(f"A_{failed[0]} = {failed[1]}/{scale} is not a non-negative integer")
+    closing, low, mask = coeffs.pop(), 0, scale - 1   # H_L, S_(w-1)
+    for w, high in enumerate(coeffs):
+        num = high - low   # S_w
+        if num < 0 or num & mask:
+            raise NonIntegralResult(f"A_{w} = {num}/{scale} is not a non-negative integer")
+        coeffs[w], low = num >> dual_dim, num
+    if low != closing:  # pragma: no cover
+        raise ArithmeticError("H_L != S_N: the length-L sums do not close")
     out = WeightDistribution(N, coeffs)
     if out.total() != 1 << (N - dual_dim):
         raise ArithmeticError("transformed mass != 2^(N - dual_dim)")

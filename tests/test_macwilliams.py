@@ -92,6 +92,14 @@ def test_mass_mismatch_rejected():
         macwilliams_transform(dual, 3)
 
 
+def test_dual_dim_outside_0_to_n_rejected():
+    # mass 32 = 2^5 passes the mass check, but a length-3 dual has at most 2^3 words
+    with pytest.raises(ValueError, match=r"dual_dim = 5 at N = 3"):
+        macwilliams_transform(WeightDistribution(3, [8, 8, 8, 8]), 5)
+    with pytest.raises(ValueError, match=r"dual_dim = -1 at N = 3"):
+        macwilliams_transform(WeightDistribution(3, [1, 0, 0, 0]), -1)
+
+
 def test_non_integral_result_detected():
     # no linear code has this dual: the transform turns negative
     bogus = WeightDistribution(5, [0, 0, 0, 0, 1, 1])
@@ -130,7 +138,7 @@ def _same_outcome(dual, dual_dim):
     return True
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
 def test_streaming_transform_matches_cached_oracle(n):
     for family in FAMILIES:
         assert _same_outcome(get_dual(family, n), 3 * n)
@@ -155,6 +163,34 @@ def test_streaming_transform_on_codes_with_odd_weights(N):
         dual = macwilliams_transform(code, dim)
         assert macwilliams_transform(dual, N - dim).coeffs == coeffs
     assert odd_seen
+
+
+@pytest.mark.parametrize("N", [14, 15, 16, 17])
+def test_transform_on_classes_of_dual_weights(N):
+    # the transform runs one recurrence per class {v, N + 1 - v}: random
+    # codes' supports hold both weights of some classes, one of others and,
+    # at even N + 1, the midpoint (N + 1)/2; moving one word to its class
+    # partner or to the midpoint mostly leaves no code, so it fails
+    L, rng = N + 1, random.Random(N)
+    seen, outcomes = set(), set()
+    for dim in (2, 3, 4, 5, 6) * 3:
+        rows = [rng.getrandbits(N) for _ in range(dim)]
+        if row_reduce(rows, N)[0] < dim:
+            continue
+        coeffs = [0] * (N + 1)
+        for word in span(rows):
+            coeffs[word.bit_count()] += 1
+        moved = list(coeffs)
+        v = rng.choice([v for v in range(1, N + 1) if coeffs[v]])
+        moved[v] -= 1
+        moved[L // 2 if L % 2 == 0 and rng.random() < 0.3 else L - v] += 1
+        for dist in (coeffs, moved):
+            support = {v for v, a in enumerate(dist) if a}
+            seen |= {"both" if L - v in support else "one" for v in support if 0 < v < L - v}
+            seen |= {"midpoint"} if L % 2 == 0 and L // 2 in support else set()
+            outcomes.add(_same_outcome(WeightDistribution(N, dist), dim))
+    assert seen == ({"both", "one", "midpoint"} if L % 2 == 0 else {"both", "one"})
+    assert outcomes == {True, False}
 
 
 def test_non_integral_only_in_mirrored_half_detected():
