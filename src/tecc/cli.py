@@ -10,8 +10,10 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -48,9 +50,11 @@ def _emit(config: argparse.Namespace, payload: dict, table=None) -> None:
     formats the table format, one key/value line per entry by default."""
     if config.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
-    elif config.format == "csv":
-        lines = [f"{k},{_flat(v)}" for k, v in sorted(payload.items())]
-        text = "\n".join(lines)
+    elif config.format == "csv":  # quoted where a value holds a comma or a quote
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(
+            (k, _flat(v)) for k, v in sorted(payload.items()))
+        text = rows.getvalue().removesuffix("\n")
     elif table is not None:
         text = table(payload)
     else:

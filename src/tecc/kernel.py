@@ -31,7 +31,8 @@ cell (a, 1, c), a in L, since its L involves a.  Seeded samples check the
 invariance rather than assume it.  The kasami5 scan evaluates L at every u,
 to check |K| against the rank of L's columns, but Tr Q and G only on K,
 where its checks read them.  It gathers L, the naive sum behind F, Q and G
-from tables over the w-bit chunks of a coefficient (`_KasamiForms`).  Those
+from tables over the w-bit chunks of a coefficient (`_KasamiForms`), each
+evaluated at the n basis coefficients and filled in by xor.  Those
 of L, Q and G change only the order in which a value's field products are
 xored; those of the naive sum hold each term's trace bits, packed 8 points
 a byte, which is exact as Tr is GF(2)-linear: the trace of
@@ -83,22 +84,10 @@ class LinearizedMap:
         return acc
 
 
-def _gold_terms(frob, i: int, j: int, b, c) -> list:
-    """The (coeff, shift) terms of the gold L(u) with shifts (i, j); frob is
-    ctx.frobenius or, for coefficient arrays, ctx.frobenius_array."""
-    return [(b, i), (frob(b, -i), -i), (c, j), (frob(c, -j), -j)]
-
-
-def _kasami_terms(frob, k: int, a, b, c) -> list:
-    """The (coeff, shift) terms of the kasami5 L(u), as in _gold_terms."""
-    return [
-        (a, k),
-        (frob(a, -k), -k),
-        (b, 3 * k),
-        (frob(b, -3 * k), -3 * k),
-        (c, 5 * k),
-        (frob(c, -5 * k), -5 * k),
-    ]
+def _gold_terms(n: int, i: int, j: int) -> list[tuple[int, int, int]]:
+    """The (slot, r, e) terms of the gold L(u) with shifts (i, j), as in
+    `_form_terms`, its slots 0 = b and 1 = c."""
+    return [(0, 0, 1 << i % n), (0, -i, 1 << -i % n), (1, 0, 1 << j % n), (1, -j, 1 << -j % n)]
 
 
 def _draw_triples(rng: random.Random, order: int, count: int) -> tuple[np.ndarray, ...]:
@@ -116,31 +105,48 @@ def gold_map(ctx: FieldCtx, i: int, j: int, b: int, c: int) -> LinearizedMap:
     """The four-term L(u) for the pair {x^(2^i+1), x^(2^j+1)}."""
     if b == 0 and c == 0:
         raise ValueError("at least one of b, c must be nonzero")
-    terms = _gold_terms(ctx.frobenius, i, j, b, c)
-    return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
+    return LinearizedMap(ctx, [(ctx.frobenius((b, c)[slot], r), e.bit_length() - 1)
+                               for slot, r, e in _gold_terms(ctx.n, i, j) if (b, c)[slot]])
 
 
-def _eval_terms(ctx: FieldCtx, terms: list, us: np.ndarray) -> np.ndarray:
-    """sum of coeff * u^(2^shift) over the terms, one row per coefficient:
-    (batch,) coefficient arrays against the points us give (batch, len(us))."""
-    out = 0
-    for coeff, shift in terms:
-        out = out ^ ctx.mul_array(np.asarray(coeff)[..., None], ctx.frobenius_array(us, shift))
-    return out
-
+_L, _Q, _G = range(3)  # the kasami5 forms, the order of _TERMS and of the tables
 
 _G_TERMS = (
-    # (source coefficient index 0=a 1=b 2=c, coeff frobenius, u shift 1, u shift 2)
-    (0, 0, 1, 0),
-    (1, 0, 3, 0),
-    (1, -1, 2, -1),
-    (1, -2, 1, -2),
-    (2, 0, 5, 0),
-    (2, -1, 4, -1),
-    (2, -2, 3, -2),
-    (2, -3, 2, -3),
-    (2, -4, 1, -4),
+    # (slot 0=a 1=b 2=c, r, the shifts s of e), as in _TERMS
+    (0, 0, (1, 0)),
+    (1, 0, (3, 0)),
+    (1, -1, (2, -1)),
+    (1, -2, (1, -2)),
+    (2, 0, (5, 0)),
+    (2, -1, (4, -1)),
+    (2, -2, (3, -2)),
+    (2, -3, (2, -3)),
+    (2, -4, (1, -4)),
 )
+# Each kasami5 form is the sum of coeff^(2^(r k)) * u^e over its terms
+# (slot, r, shifts): coeff is the slot's one of a, b and c, and e is the sum
+# of 2^(s k) mod 2^n - 1 over the shifts s.
+_TERMS = (
+    ((0, 0, (1,)), (0, -1, (-1,)), (1, 0, (3,)), (1, -3, (-3,)), (2, 0, (5,)), (2, -5, (-5,))),
+    ((0, 0, (1, 0)), (1, 0, (3, 0)), (2, 0, (5, 0))),
+    _G_TERMS,
+)
+
+
+def _form_terms(form: int, k: int, n: int) -> list[tuple[int, int, int]]:
+    """The (slot, r, e) of each term coeff^(2^r) * u^e of _L, _Q or _G at k."""
+    return [(slot, r * k, sum(1 << s * k % n for s in shifts)) for slot, r, shifts in _TERMS[form]]
+
+
+def _eval_form(ctx: FieldCtx, terms: list, coeffs, us) -> np.ndarray:
+    """The sum of coeff^(2^r) * u^e over the (slot, r, e) terms at the points
+    us, coeff the slot's entry of coeffs, each a scalar or an array that
+    broadcasts against us.  A coefficient 0 adds nothing, as mul_array and
+    frobenius_array map 0 to 0."""
+    out = 0
+    for slot, r, e in terms:
+        out = out ^ ctx.mul_array(ctx.frobenius_array(coeffs[slot], r), ctx.pow_array(us, e))
+    return out
 
 
 @dataclass
@@ -180,12 +186,6 @@ class GoldKernelSummary:
                       failures=self.failures[:16])
 
 
-def _gold_cols(ctx: FieldCtx, i: int, j: int, b, c) -> np.ndarray:
-    """The columns L(alpha^m) of the gold map at every (b, c) of the broadcast
-    coefficient arrays, one row of n per (b, c)."""
-    return _eval_terms(ctx, _gold_terms(ctx.frobenius_array, i, j, b, c), 1 << np.arange(ctx.n))
-
-
 def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKernelSummary:
     """Scan every (b, c) in L* x L* for a pair {x^(2^i+1), x^(2^j+1)}, the
     shifts read from its exponents by `gold_shift`, through the rows
@@ -212,10 +212,12 @@ def gold_kernel_scan(ctx: FieldCtx, pair: MonomialPair, seed: int = 0) -> GoldKe
     failures: list[tuple[int, int]] = []
     s_freq = np.zeros(n + 1, dtype=np.int64)  # number of (b, c) with each s
     s_of = np.full(ctx.order, -1)
+    terms, basis = _gold_terms(n, i, j), 1 << np.arange(n)
     # orbit_rows yields the row b = 1 alone, since gcd(2^i + 1, 2^n - 1) = 1
     # for odd n, so s_of holds the s of every representative (1, c)
     for b, cs, weights, values in _row_batches(ctx, pair.f_np, pair.g_np, orbit_rows(ctx, pair.d1)):
-        s = n - gf2.rank_array(_gold_cols(ctx, i, j, b, cs), n)
+        # the columns L(alpha^m) of the gold map at each (b, c), one row of n per c
+        s = n - gf2.rank_array(_eval_form(ctx, terms, (b, cs[:, None]), basis), n)
         np.abs(values, out=values)
         m = np.where(s % 2 == 1, 1 << ((n + s) // 2), 0).astype(values.dtype)
         ok = ((values == 0) | (values == m[:, None])).all(axis=1)
@@ -268,29 +270,6 @@ class KasamiKernelSummary:
                       reports=[r.to_json_dict() for r in self.reports])
 
 
-def _kasami_q_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """Q(u) at every point of us, with a, b, c scalars or arrays of its shape;
-    the terms of a None coefficient are left out."""
-    q = 0
-    for coeff, shift in ((a, k), (b, 3 * k), (c, 5 * k)):
-        if coeff is not None:
-            q = q ^ ctx.mul_array(coeff, ctx.pow_array(us, (1 << shift % ctx.n) + 1))
-    return q
-
-
-def _kasami_g_array(ctx: FieldCtx, k: int, a, b, c, us: np.ndarray) -> np.ndarray:
-    """G(u) at every point of us, with a, b, c (or None) as in _kasami_q_array."""
-    g = 0
-    for which, cf, s1, s2 in _G_TERMS:
-        if (coeff := (a, b, c)[which]) is not None:
-            uu = ctx.pow_array(us, (1 << s1 * k % ctx.n) + (1 << s2 * k % ctx.n))
-            g = g ^ ctx.mul_array(ctx.frobenius_array(coeff, cf * k), uu)
-    return g
-
-
-_L, _Q, _G = range(3)  # the forms of the field-valued tables, in their order
-
-
 class _KasamiForms:
     """L, the naive sum, Q and G of one kasami5 scan, for a batch of triples.
 
@@ -299,34 +278,43 @@ class _KasamiForms:
     it, so a form is the xor of its rows at its slots' w-bit chunks: a zero
     row, then chunk j's values v > 0 at rows v + j*(2^w - 1) of the slot's
     tables (w = n at n <= 7).  The naive sum's tables hold Tr of its terms.
+    By the same linearity only the rows of the n basis coefficients 2^t are
+    evaluated; a chunk's row v + 2^t, v < 2^t, is then rows v and 2^t xored.
     """
 
     def __init__(self, ctx: FieldCtx, pair: MonomialPair) -> None:
         n, k, every = ctx.n, pair.param, np.arange(ctx.order)
         for w in range(n, 0, -1):  # the widest chunk whose tables fit, else 1
-            # the coefficient of each row: 0, then each chunk's nonzero values
-            coeffs = np.concatenate([np.arange(j > 0, 1 << min(w, n - j)) << j for j in range(0, n, w)])
-            if 9 * coeffs.size << n <= spectrum._BATCH_CELLS:
+            # the rows of a slot: 0, then each chunk's nonzero values
+            size = 1 + sum((1 << min(w, n - j)) - 1 for j in range(0, n, w))
+            if 9 * size << n <= spectrum._BATCH_CELLS:
                 break
+        lows = np.arange(0, n, w)  # each chunk's lowest bit
+        bases = lows // w * ((1 << w) - 1)  # chunk value v > 0 sits at row v + base
+        bits = np.arange(n)  # bit t is the value 2^(t mod w) of chunk t // w
+        steps = 1 << bits % w
+        tops = bases[bits // w] + steps  # the row of each basis coefficient 2^t
         # the narrowest type that holds a field element
-        tables = np.empty((3, 3, coeffs.size, ctx.order), np.min_scalar_type(ctx.order - 1))
-        traces = np.empty((3, coeffs.size, ctx.order // 8), np.uint8)
+        tables = np.empty((3, 3, size, ctx.order), np.min_scalar_type(ctx.order - 1))
+        traces = np.empty((3, size, ctx.order // 8), np.uint8)
+        tables[:, :, 0], traces[:, 0] = 0, 0
         # a cell holds a few int64 temporaries, so slices 2^3 times shorter than a batch's
-        for part in _batches(n + 3, coeffs.size):
-            rows = coeffs[part]
-            ell = _kasami_terms(ctx.frobenius_array, k, rows, rows, rows)
+        for part in _batches(n + 3, n):
+            basis, rows = (1 << bits[part])[:, None], tops[part]
             for i, term in enumerate((every, pair.f_np, pair.g_np)):
-                alone = [rows[:, None] if j == i else None for j in range(3)]
-                tables[_L, i, part] = _eval_terms(ctx, ell[2 * i : 2 * i + 2], every)
-                tables[_Q, i, part] = _kasami_q_array(ctx, k, *alone, every)
-                tables[_G, i, part] = _kasami_g_array(ctx, k, *alone, every)
-                traces[i, part] = np.packbits(
-                    ctx.trace_table[ctx.mul_array(rows[:, None], term)], axis=1)
-        # each form's slots stacked, so slot i's rows follow i * coeffs.size others
+                for form in (_L, _Q, _G):  # a row of slot i is the sum of slot i's terms
+                    alone = [t for t in _form_terms(form, k, n) if t[0] == i]
+                    tables[form, i, rows] = _eval_form(ctx, alone, (basis,) * 3, every)
+                traces[i, rows] = np.packbits(ctx.trace_table[ctx.mul_array(basis, term)], axis=1)
+        # then a chunk's row v + 2^j, 0 < v < 2^j, is its rows v and 2^j xored
+        for table in (tables.reshape(9, size, ctx.order), traces):
+            for top, step in zip(tops.tolist(), steps.tolist()):
+                np.bitwise_xor(table[:, top - step + 1 : top], table[:, top, None],
+                               out=table[:, top + 1 : top + step])
+        # each form's slots stacked, so slot i's rows follow i * size others
         self.tables, self.traces = tables.reshape(3, -1, ctx.order), traces.reshape(-1, ctx.order // 8)
-        self.ctx, self.width, self.shifts = ctx, w, np.arange(0, n, w)[:, None]
-        slots = np.arange(3)[:, None, None] * coeffs.size
-        self.offsets = (slots + self.shifts // w * ((1 << w) - 1)).reshape(-1, 1)
+        self.ctx, self.width, self.shifts = ctx, w, lows[:, None]
+        self.offsets = (np.arange(3)[:, None, None] * size + bases[:, None]).reshape(-1, 1)
         # L's rows and one gather, grown to the largest batch
         self.buffers = np.empty((2, 0, ctx.order), self.tables.dtype)
 
@@ -370,7 +358,8 @@ def _substitution_checks(ctx: FieldCtx, pair: MonomialPair,
     a, b, c = _draw_triples(rng, order, 32)
     substitution_ok = True
     for s in _batches(ctx.n + 3, 32):
-        q = _kasami_q_array(ctx, k, a[s, None], b[s, None], c[s, None], np.arange(order))
+        q = _eval_form(ctx, _form_terms(_Q, k, ctx.n), (a[s, None], b[s, None], c[s, None]),
+                       np.arange(order))
         totals = order - 2 * ctx.trace_table[q].sum(axis=1, dtype=np.int64)
         substitution_ok &= bool((totals == transform_single(ctx, pair, a[s], b[s], c[s])).all())
     return permutation_ok, substitution_ok

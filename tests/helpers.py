@@ -36,7 +36,9 @@ from tecc.decoder import CollisionDetected
 from tecc.functions import differential_counts
 from tecc.gf2 import rank_array, row_reduce, to_bits, to_int
 from tecc.kernel import (
+    _G,
     _G_TERMS,
+    _L,
     _ORACLE_SAMPLES,
     _Q,
     GoldKernelSummary,
@@ -46,10 +48,8 @@ from tecc.kernel import (
     _KasamiForms,
     _check_kasami_chunk,
     _draw_triples,
-    _eval_terms,
-    _kasami_g_array,
-    _kasami_q_array,
-    _kasami_terms,
+    _eval_form,
+    _form_terms,
     gold_map,
 )
 from tecc.spectrum import allowed_values, transform_rows, transform_single
@@ -212,8 +212,9 @@ def kasami_map(ctx, k: int, a: int, b: int, c: int) -> LinearizedMap:
     """The six-term L(u) for the substituted kasami5 transform."""
     if a == 0 and b == 0 and c == 0:
         raise ValueError("at least one of a, b, c must be nonzero")
-    terms = _kasami_terms(ctx.frobenius, k, a, b, c)
-    return LinearizedMap(ctx, [(co, sh) for co, sh in terms if co])
+    coeffs = (a, b, c)
+    return LinearizedMap(ctx, [(ctx.frobenius(coeffs[slot], r), e.bit_length() - 1)
+                               for slot, r, e in _form_terms(_L, k, ctx.n) if coeffs[slot]])
 
 
 def kasami_quadratic(ctx, k: int, a: int, b: int, c: int, u: int) -> int:
@@ -238,7 +239,7 @@ def kasami_g_form(ctx, k: int, a: int, b: int, c: int, u: int) -> int:
     """The nine-term companion form G(u) with G(u) + G(u)^(2^-k) = u*L(u)."""
     coeffs = (a, b, c)
     out = 0
-    for which, cf, s1, s2 in _G_TERMS:
+    for which, cf, (s1, s2) in _G_TERMS:
         base = coeffs[which]
         if base == 0:
             continue
@@ -264,7 +265,7 @@ def kasami_identity_residual(ctx, k: int, a: int, b: int, c: int, u: int, v: int
     which is why a drops out of the polarized equation."""
     coeffs = (a, b, c)
     out = 0
-    for which, cf, s1, s2 in _G_TERMS:
+    for which, cf, (s1, s2) in _G_TERMS:
         if s2 == 0:
             continue
         base = coeffs[which]
@@ -594,11 +595,11 @@ def scalar_kasami_kernel_scan(ctx, pair, samples: int = 10_000, seed: int = 0,
 
 class PerTripleForms:
     """The forms of `kernel._KasamiForms` evaluated at each batch's own
-    coefficients, with no table: L by `_eval_terms` over `_kasami_terms`,
-    F by `transform_single`, and Q and G by `_kasami_q_array` and
-    `_kasami_g_array`.  Its batch rows are the coefficients themselves, one
-    chunk, so a kernel cell is coefficient << n | u.  Set in place of
-    `kernel._KasamiForms`, it runs the scan on the per-triple forms."""
+    coefficients, with no table: L, Q and G by `_eval_form` over
+    `_form_terms`, and F by `transform_single`.  Its batch rows are the
+    coefficients themselves, one chunk, so a kernel cell is
+    coefficient << n | u.  Set in place of `kernel._KasamiForms`, it runs
+    the scan on the per-triple forms."""
 
     def __init__(self, ctx, pair):
         self.ctx, self.pair = ctx, pair
@@ -607,16 +608,34 @@ class PerTripleForms:
         return np.stack([a, b, c])
 
     def ell_rows(self, rows):
-        terms = _kasami_terms(self.ctx.frobenius_array, self.pair.param, *rows)
-        return _eval_terms(self.ctx, terms, np.arange(self.ctx.order))
+        terms = _form_terms(_L, self.pair.param, self.ctx.n)
+        return _eval_form(self.ctx, terms, rows[..., None], np.arange(self.ctx.order))
 
     def transform(self, rows):
         return transform_single(self.ctx, self.pair, *rows)
 
     def cells(self, form, cells):
-        evaluate = _kasami_q_array if form == _Q else _kasami_g_array
-        us = cells[0] & (self.ctx.order - 1)
-        return evaluate(self.ctx, self.pair.param, *cells >> self.ctx.n, us)
+        terms = _form_terms(form, self.pair.param, self.ctx.n)
+        return _eval_form(self.ctx, terms, cells >> self.ctx.n, cells[0] & (self.ctx.order - 1))
+
+
+def per_coefficient_forms(ctx, pair, width: int):
+    """The tables, traces and offsets of `kernel._KasamiForms` at chunk width
+    `width`, each row evaluated at its own coefficient: 0, then each chunk's
+    nonzero values, in the slots' tables in turn."""
+    n, every = ctx.n, np.arange(ctx.order)
+    lows = range(0, n, width)
+    coeffs = np.concatenate([np.arange(j > 0, 1 << min(width, n - j)) << j for j in lows])
+    tables = np.empty((3, 3, coeffs.size, ctx.order), np.min_scalar_type(ctx.order - 1))
+    traces = np.empty((3, coeffs.size, ctx.order // 8), np.uint8)
+    for i, term in enumerate((every, pair.f_np, pair.g_np)):
+        alone = [coeffs[:, None] if j == i else 0 for j in range(3)]
+        for form in (_L, _Q, _G):
+            tables[form, i] = _eval_form(ctx, _form_terms(form, pair.param, n), alone, every)
+        traces[i] = np.packbits(ctx.trace_table[ctx.mul_array(coeffs[:, None], term)], axis=1)
+    offsets = [i * coeffs.size + j // width * ((1 << width) - 1) for i in range(3) for j in lows]
+    return (tables.reshape(3, -1, ctx.order), traces.reshape(-1, ctx.order // 8),
+            np.array(offsets)[:, None])
 
 
 def unfolded_kasami_scan(ctx, pair, seed: int = 0):

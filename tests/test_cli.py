@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, report content, determinism."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -158,6 +160,20 @@ def test_out_file_holds_what_stdout_would(tmp_path, capsys, command, fmt):
     target = tmp_path / "out.txt"
     assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
     assert target.read_text() == printed
+
+
+@pytest.mark.parametrize("family", ["gold2", "gold3", "th", "kasami5"])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "macwilliams", "distance"])
+def test_csv_rows_hold_one_key_and_one_value(capsys, command, family):
+    # a value with commas (a histogram, a code's [N, k, d], the stages) is
+    # quoted, so a csv reader splits each row into its key and its value
+    code, out = run_cli(capsys, command, family, "--n", "5", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 2 for row in rows), rows
+    nested = [value for _, value in rows if value[:1] in ("[", "{")]
+    assert all(json.loads(value) is not None for value in nested)
+    assert nested or command == "distance"
 
 
 def test_missing_family_is_an_error(capsys):

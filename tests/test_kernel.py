@@ -38,6 +38,7 @@ from helpers import (
     kernel_basis,
     kernel_of,
     pair_with_g7,
+    per_coefficient_forms,
     quadratic_pair_identity,
     scalar_gold_kernel_scan,
     scalar_kasami_fold,
@@ -679,8 +680,8 @@ def test_kasami_chunk_widths_agree(monkeypatch, n, k):
     pytest.param(11, None, id="11"),
 ])
 def test_kasami_slot_tables_match_the_term_oracles(monkeypatch, n, budget):
-    # on 64 seeded triples the tables' rows give the L of _eval_terms over
-    # _kasami_terms and the F of transform_single, and their cells the Q
+    # on 64 seeded triples the tables' rows give the L of _eval_form over
+    # the terms of _L and the F of transform_single, and their cells the Q
     # and G of the scalar forms at one drawn u per triple: in one chunk at
     # the default budget to n = 7, and past it in several, the last partial
     if budget is not None:
@@ -691,8 +692,8 @@ def test_kasami_slot_tables_match_the_term_oracles(monkeypatch, n, budget):
     assert forms.width == n if n <= 7 and budget is None else n % forms.width > 0
     a, b, c = kernel._draw_triples(rng, ctx.order, 64)
     rows = forms.batch_rows(a, b, c)
-    want = kernel._eval_terms(ctx, kernel._kasami_terms(ctx.frobenius_array, k, a, b, c),
-                              np.arange(ctx.order))
+    want = kernel._eval_form(ctx, kernel._form_terms(kernel._L, k, n),
+                             (a[:, None], b[:, None], c[:, None]), np.arange(ctx.order))
     assert (forms.ell_rows(rows) == want).all()
     assert (forms.transform(rows) == transform_single(ctx, pair, a, b, c)).all()
     us = np.array([rng.randrange(ctx.order) for _ in range(64)])
@@ -729,6 +730,29 @@ def test_kasami_chunk_rows_agree_at_every_width(monkeypatch):
         assert forms.width == w and forms.tables.shape[1] == 3 * rows
         for got, want in zip(values(forms), one_chunk, strict=True):
             assert (got == want).all(), w
+
+
+@pytest.mark.parametrize("n, budget, width", [
+    pytest.param(5, None, 5, id="5"),
+    pytest.param(7, None, 7, id="7"),
+    pytest.param(9, None, 8, id="9"),
+    pytest.param(7, 1 << 17, 6, id="7-chunked"),
+])
+def test_kasami_tables_equal_the_forms_at_every_row(monkeypatch, n, budget, width):
+    # the tables are evaluated at the n basis coefficients and filled in by
+    # xor; every row of every form, slot and trace table must equal the
+    # forms evaluated at that row's own coefficient, which a wrong doubling
+    # offset breaks on rows that the seeded triples may never gather
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "_BATCH_CELLS", budget)
+    ctx, pair = get_ctx(n), get_pair("kasami5", n)
+    forms = kernel._KasamiForms(ctx, pair)
+    tables, traces, offsets = per_coefficient_forms(ctx, pair, width)
+    assert forms.width == width
+    assert forms.tables.dtype == tables.dtype and forms.tables.shape == tables.shape
+    assert (forms.tables == tables).all() and (forms.traces == traces).all()
+    assert forms.offsets.dtype == offsets.dtype and (forms.offsets == offsets).all()
+    assert (forms.shifts[:, 0] == np.arange(0, n, width)).all()
 
 
 def test_kasami_scan_frees_the_substitution_check_before_its_cells(monkeypatch):
@@ -829,7 +853,7 @@ def test_kasami_g_check_on_kernel_cells_matches_scalar_oracle(monkeypatch):
     # K: the kernel-cell check must flag the triples the scalar one flags
     ctx, pair = get_ctx(5), get_pair("kasami5", 5)
     broken = kernel._G_TERMS[1:]
-    monkeypatch.setattr(kernel, "_G_TERMS", broken)
+    monkeypatch.setattr(kernel, "_TERMS", (*kernel._TERMS[:kernel._G], broken))
     monkeypatch.setattr(helpers, "_G_TERMS", broken)
     batched = kasami_kernel_scan(ctx, pair, samples=300, seed=4, exhaustive=False,
                                  keep_reports=-1)
