@@ -27,20 +27,34 @@ class RankDefect(ValueError):
     """H does not reach full rank 3n (degenerate pair)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ParityCheckMatrix:
-    """3n x (2^n - 1) binary matrix; rows are int bitmasks, bit j-1 = column
-    for the field element with integer value j.  Immutable by convention
-    after construction."""
+    """3n x (2^n - 1) binary matrix, held as its columns: cols[j - 1] packs
+    the column of the field element with integer value j as the 3n-bit word
+    j | f(j) << n | g(j) << 2n.  Row i, as an int, has bit j - 1 = bit i of
+    cols[j - 1].  Immutable by convention after construction."""
 
     n: int
-    ncols: int
-    rows: list[int]
+    cols: np.ndarray
+
+    @property
+    def ncols(self) -> int:
+        return self.cols.size
+
+    @cached_property
+    def rank(self) -> int:
+        """GF(2) rank by one array elimination of the columns, computed once
+        however many stages ask for it."""
+        return int(gf2.rank_array(self.cols[None], 3 * self.n)[0])
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """The 3n row ints, built one bit plane at a time on first use."""
+        return [gf2.to_int((self.cols >> i & 1).astype(np.uint8)) for i in range(3 * self.n)]
 
     @cached_property
     def echelon(self) -> tuple[int, list[int], list[int]]:
-        """`gf2.row_reduce` of the rows: (rank, RREF rows, pivot columns),
-        computed once however many stages ask for the rank or the RREF."""
+        """`gf2.row_reduce` of the rows: (rank, RREF rows, pivot columns)."""
         return gf2.row_reduce(self.rows, self.ncols)
 
     def to_text(self) -> str:
@@ -52,12 +66,9 @@ class ParityCheckMatrix:
 
 
 def build_parity_check(ctx: FieldCtx, pair: MonomialPair) -> ParityCheckMatrix:
-    """Stack the coordinate rows of x, f(x), g(x) over all nonzero x."""
+    """Pack the column (x, f(x), g(x)) of every nonzero x."""
     n = ctx.n
-    blocks = np.stack((np.arange(1, ctx.order), pair.f_np[1:], pair.g_np[1:])).astype(np.uint32)
-    planes = (blocks[:, None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
-    rows = [gf2.to_int(plane) for plane in planes.reshape(3 * n, -1).astype(np.uint8)]
-    return ParityCheckMatrix(n, ctx.order - 1, rows)
+    return ParityCheckMatrix(n, np.arange(1, ctx.order) | pair.f_np[1:] << n | pair.g_np[1:] << 2 * n)
 
 
 def rank_and_dimension(H: ParityCheckMatrix) -> tuple[int, int]:
@@ -66,10 +77,9 @@ def rank_and_dimension(H: ParityCheckMatrix) -> tuple[int, int]:
     Raises RankDefect when rank < 3n: the parameter formula presumes full
     rank, so a defect is surfaced rather than silently accepted.
     """
-    rank = H.echelon[0]
-    if rank < 3 * H.n:
-        raise RankDefect(f"rank {rank} < 3n = {3 * H.n}")
-    return rank, H.ncols - rank
+    if H.rank < 3 * H.n:
+        raise RankDefect(f"rank {H.rank} < 3n = {3 * H.n}")
+    return H.rank, H.ncols - H.rank
 
 
 @dataclass
@@ -109,14 +119,10 @@ def dual_weights_from_spectrum(
     coeffs = [0] * order  # weights range 0 .. 2^n - 1
     coeffs[0] += 1                      # a = b = c = 0
     coeffs[order // 2] += order - 1     # a != 0, b = c = 0: Tr(ax) is balanced
-    for hist in (
-        single_table_spectrum(ctx, pair.f_np),   # c = 0 stratum
-        single_table_spectrum(ctx, pair.g_np),   # b = 0 stratum
-    ):
+    # the c = 0 and b = 0 strata, in one pass
+    for hist in (single_table_spectrum(ctx, pair.f_np, pair.g_np), report.histogram):
         for v, cnt in hist.items():
             coeffs[(order - v) // 2] += cnt
-    for v, cnt in report.histogram.items():
-        coeffs[(order - v) // 2] += cnt
 
     dist = WeightDistribution(order - 1, coeffs)
     if dist.total() != 1 << (3 * ctx.n):  # pragma: no cover
@@ -183,18 +189,16 @@ def weight3_syndromes_distinct(ctx: FieldCtx, pair: MonomialPair) -> bool:
     """True iff all error patterns of weight <= 3 have distinct syndromes.
 
     Equivalent to minimum distance >= 7, independently of any transform
-    computation.  Columns are packed as 3n-bit int32 (x, f, g blocks, LSB
-    first, at most 21 bits) and every pattern's syndrome goes into one
-    preallocated array: the pairs ordered by their larger index, so the
-    pairs below l are a prefix of C(l, 2), and the triples of largest
-    index l that prefix xored with column l.  The sorted syndromes must
-    not repeat.  Kept to n <= DISTANCE_ORACLE_MAX_N (C(127,3) patterns at
-    n = 7).
+    computation.  H's packed columns are read as int32 (at most 21 bits)
+    and every pattern's syndrome goes into one preallocated array: the
+    pairs ordered by their larger index, so the pairs below l are a prefix
+    of C(l, 2), and the triples of largest index l that prefix xored with
+    column l.  The sorted syndromes must not repeat.  Kept to
+    n <= DISTANCE_ORACLE_MAX_N (C(127,3) patterns at n = 7).
     """
     if ctx.n > DISTANCE_ORACLE_MAX_N:
         raise ValueError(f"triple syndrome scan is limited to n <= {DISTANCE_ORACLE_MAX_N}")
-    n = ctx.n
-    cols = (np.arange(1, ctx.order) | (pair.f_np[1:] << n) | (pair.g_np[1:] << 2 * n)).astype(np.int32)
+    cols = build_parity_check(ctx, pair).cols.astype(np.int32)
     m = cols.size
     pairs_end = 1 + m + comb(m, 2)
     syndromes = np.empty(pairs_end + comb(m, 3), np.int32)

@@ -7,58 +7,28 @@ and addition is xor.
 
 The modulus is always the lexicographically smallest irreducible polynomial
 of degree n (smallest bitmask value), so every constant derived downstream
-is reproducible across runs and implementations.
+is reproducible across runs and implementations.  The modulus and generator
+of each degree are tabled in FIELD_CONSTANTS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SUPPORTED_DEGREES = (5, 7, 9, 11, 13, 15, 17)
-
-
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of the carryless division of a by m over GF(2)."""
-    dm = m.bit_length() - 1
-    da = a.bit_length() - 1
-    while da >= dm:
-        a ^= m << (da - dm)
-        da = a.bit_length() - 1
-    return a
-
-
-def is_irreducible(m: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..deg(m)/2."""
-    deg = m.bit_length() - 1
-    if deg < 1:
-        return False
-    for d in range(2, 1 << (deg // 2 + 1)):
-        if poly_mod(m, d) == 0:
-            return False
-    return True
-
-
-def smallest_irreducible(n: int) -> int:
-    """Lexicographically smallest irreducible polynomial of degree n."""
-    # Even bitmasks are divisible by x, so only odd candidates are scanned.
-    for m in range((1 << n) + 1, 1 << (n + 1), 2):
-        if is_irreducible(m):
-            return m
-    raise ValueError(f"no irreducible polynomial of degree {n}")  # pragma: no cover
-
-
-def _prime_factors(v: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            out.append(p)
-            while v % p == 0:
-                v //= p
-        p += 1
-    if v > 1:
-        out.append(v)
-    return out
+# n -> (modulus, generator): the smallest irreducible polynomial of degree n
+# (smallest bitmask value) and the smallest element of order 2^n - 1 modulo
+# it.  Each context proves its entry on construction (see FieldCtx); the
+# searches that produced the table are the test suite's oracle.
+FIELD_CONSTANTS = {
+    5: (0x25, 2),
+    7: (0x83, 2),
+    9: (0x203, 7),
+    11: (0x805, 2),
+    13: (0x201B, 2),
+    15: (0x8003, 2),
+    17: (0x20009, 2),
+}
+SUPPORTED_DEGREES = tuple(FIELD_CONSTANTS)
 
 
 class FieldCtx:
@@ -78,11 +48,9 @@ class FieldCtx:
         self.n = n
         self.order = 1 << n
         self.group_order = self.order - 1
-        self.modulus = smallest_irreducible(n)
-
-        self.generator = self._find_generator()
+        self.modulus, self.generator = FIELD_CONSTANTS[n]
         # exp[i + 2^j] = exp[i] * g^(2^j): each doubling multiplies the filled
-        # prefix by one constant, and the 2^n entries end on exp[N] = g^N = 1.
+        # prefix by one constant, and the 2^n entries end on exp[N] = g^N.
         N = self.group_order
         exp = np.ones(self.order, dtype=np.uint32)
         step, power = 1, self.generator
@@ -90,8 +58,6 @@ class FieldCtx:
             exp[step : 2 * step] = self._mul_const_array(exp[:step], power)
             power = self._mul_raw(power, power)
             step <<= 1
-        if exp[N] != 1:  # pragma: no cover
-            raise AssertionError("generator order mismatch")
         # The array log maps 0 to the sentinel 2N and the array exp is zero
         # from index 2N on (length 4N + 1), so a product with a zero factor
         # gathers 0 without a mask.
@@ -99,17 +65,22 @@ class FieldCtx:
         self._exp_np[:N] = self._exp_np[N : 2 * N] = exp[:N]
         self._log_np = np.full(self.order, 2 * N, dtype=np.int64)
         self._log_np[exp[:N]] = np.arange(N)
+        # g^0..g^(N-1) must be a permutation of the nonzero residues, so that
+        # every one has a log: that holds iff the modulus is irreducible (the
+        # residues form a field) and g is primitive in it.
+        if (self._log_np[1:] == 2 * N).any():
+            raise ValueError(f"{self.generator} does not generate the nonzero residues "
+                             f"mod {self.modulus:#x}")
         self._exp = self._exp_np[: 2 * N].tolist()
         self._log = self._log_np.tolist()
 
-        # Tr is GF(2)-linear, so the basis traces determine the full table.
-        mask = 0
-        for j in range(n):
-            if self._trace_powersum(1 << j):
-                mask |= 1 << j
-        self.trace_mask = mask
+        # Tr is GF(2)-linear, so the traces of the basis alpha^j, each the sum
+        # of its n conjugates exp[log(alpha^j) 2^k mod N], determine the table.
+        bits = np.arange(n)
+        conjugates = self._exp_np[(self._log_np[1 << bits, None] << bits) % N]
+        self.trace_mask = int(np.bitwise_xor.reduce(conjugates, axis=1) @ (1 << bits))
         xs = np.arange(self.order, dtype=np.uint32)
-        self.trace_table = (np.bitwise_count(xs & np.uint32(mask)) & 1).astype(np.uint8)
+        self.trace_table = (np.bitwise_count(xs & np.uint32(self.trace_mask)) & 1).astype(np.uint8)
         assert self.trace_table[0] == 0
         assert int(self.trace_table.sum()) == self.order // 2
 
@@ -138,34 +109,6 @@ class FieldCtx:
                 k ^= self.modulus
         bits = (xs[:, None] >> np.arange(self.n, dtype=xs.dtype)) & 1
         return np.bitwise_xor.reduce(bits * np.array(shifted, dtype=xs.dtype), axis=1)
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        """Smallest element generating the full multiplicative group."""
-        cofactors = [self.group_order // p for p in _prime_factors(self.group_order)]
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, c) != 1 for c in cofactors):
-                return cand
-        raise AssertionError("no generator found")  # pragma: no cover
-
-    def _trace_powersum(self, x: int) -> int:
-        """Tr(x) = x + x^2 + x^4 + ... + x^(2^(n-1)), evaluated directly."""
-        t = x
-        acc = x
-        for _ in range(self.n - 1):
-            t = self._mul_raw(t, t)
-            acc ^= t
-        if acc not in (0, 1):  # pragma: no cover
-            raise AssertionError("trace landed outside GF(2)")
-        return acc
 
     # -- field operations ------------------------------------------------
 
@@ -219,5 +162,5 @@ class FieldCtx:
 
 
 def make_ctx(n: int) -> FieldCtx:
-    """Build the GF(2^n) context with the canonical (smallest) modulus."""
+    """A new GF(2^n) context with the canonical (smallest) modulus."""
     return FieldCtx(n)

@@ -35,15 +35,17 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[int, list[int], list[int]]:
 def rank_array(rows, ncols: int) -> np.ndarray:
     """GF(2) rank of every matrix in a batch, by array elimination.
 
-    rows[i] holds the row bitmasks (at most 31 bits, so never negative) of
-    matrix i.  Each round takes p, the largest row of each matrix, and
+    rows[i] holds the row bitmasks of matrix i, eliminated in int32 lanes
+    below 32 columns and in int64 lanes from 32 on (at most 63 bits, so
+    never negative).  Each round takes p, the largest row of each matrix, and
     replaces every row w by min(w, w ^ p).  That xors p into exactly the
     rows holding p's top bit t, p itself included, and keeps the rest: so
     no row keeps bit t, the rows left span a space p is not in, and a
     nonzero p takes one from the rank.  min(ncols, number of rows) rounds
     empty every matrix.
     """
-    work = np.array(rows, dtype=np.int32).T.copy()  # work[r] is row r of every matrix
+    lanes = np.int32 if ncols < 32 else np.int64
+    work = np.array(rows, dtype=lanes).T.copy()  # work[r] is row r of every matrix
     rank = np.zeros(work.shape[1], dtype=np.int64)
     for _ in range(min(ncols, work.shape[0])):
         pivot = work.max(axis=0)

@@ -298,13 +298,27 @@ class _KasamiForms:
         tables = np.empty((3, 3, size, ctx.order), np.min_scalar_type(ctx.order - 1))
         traces = np.empty((3, size, ctx.order // 8), np.uint8)
         tables[:, :, 0], traces[:, 0] = 0, 0
+        tables[:, :, tops] = 0
+        # a row of slot i is the sum of slot i's terms coeff^(2^r) * u^e, so
+        # each u^e is raised once and added to the basis rows of every
+        # (form, slot, r) that reads it
+        by_power: dict[int, list] = {}
+        for form in (_L, _Q, _G):
+            for slot, r, e in _form_terms(form, k, n):
+                by_power.setdefault(e, []).append((form, slot, r))
         # a cell holds a few int64 temporaries, so slices 2^3 times shorter than a batch's
-        for part in _batches(n + 3, n):
+        parts = list(_batches(n + 3, n))
+        for e, uses in by_power.items():
+            power = ctx.pow_array(every, e)
+            for part in parts:
+                basis, rows = (1 << bits[part])[:, None], tops[part]
+                for form, slot, r in uses:
+                    term = ctx.mul_array(ctx.frobenius_array(basis, r), power)
+                    term ^= tables[form, slot, rows]
+                    tables[form, slot, rows] = term
+        for part in parts:
             basis, rows = (1 << bits[part])[:, None], tops[part]
             for i, term in enumerate((every, pair.f_np, pair.g_np)):
-                for form in (_L, _Q, _G):  # a row of slot i is the sum of slot i's terms
-                    alone = [t for t in _form_terms(form, k, n) if t[0] == i]
-                    tables[form, i, rows] = _eval_form(ctx, alone, (basis,) * 3, every)
                 traces[i, rows] = np.packbits(ctx.trace_table[ctx.mul_array(basis, term)], axis=1)
         # then a chunk's row v + 2^j, 0 < v < 2^j, is its rows v and 2^j xored
         for table in (tables.reshape(9, size, ctx.order), traces):

@@ -6,7 +6,8 @@ For a pair {f, g} the transform is
 
 scanned over all a and all nonzero b, c.  One kernel, `transform_rows`,
 computes every row (b, c) that a scan needs, one b against a batch of c,
-in two steps:
+in two steps (the one-table strata stack their sign rows into the same
+transform):
 
 * Signs by bit parity, one table at a time.  Tr(c*y) = parity(lambda(c) & y),
   where lambda(c) is the n-bit mask with bit j = Tr(c*alpha^j), so `_signs`
@@ -166,7 +167,8 @@ def _value_counts(order: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _as_histogram(order: int, counts: np.ndarray) -> dict[int, int]:
-    return {int(2 * i - order): int(cnt) for i, cnt in enumerate(counts) if cnt}
+    seen = np.flatnonzero(counts)
+    return dict(zip((2 * seen - order).tolist(), counts[seen].tolist()))
 
 
 def _batches(n: int, count: int):
@@ -182,16 +184,17 @@ def frobenius_orbits(ctx: FieldCtx, cs, bs=0) -> tuple[np.ndarray, np.ndarray]:
     in [0, n) that fix the pair; at b = 0, the cyclotomic coset of c."""
     b, c, fixed = np.asarray(bs), np.asarray(cs), 1
     key = low = b << ctx.n | c
-    for j in range(1, ctx.n):
-        image = ctx.frobenius_array(b, j) << ctx.n | ctx.frobenius_array(c, j)
+    for _ in range(1, ctx.n):
+        b, c = ctx.mul_array(b, b), ctx.mul_array(c, c)  # the images under x -> x^(2^j)
+        image = b << ctx.n | c
         low, fixed = np.minimum(low, image), fixed + (image == key)
     return low, ctx.n // fixed
 
 
 def frobenius_reps(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """The cyclotomic cosets of L*: each coset's least element, ascending,
-    and its size.  b = 0 goes in as a scalar, so Frobenius maps no array of
-    zeros."""
+    and its size.  b = 0 goes in as a scalar, so no array of zeros is
+    squared."""
     cs = np.arange(1, ctx.order)
     leaders, sizes = frobenius_orbits(ctx, cs)
     return cs[leaders == cs], sizes[leaders == cs]
@@ -245,18 +248,24 @@ def _row_batches(ctx: FieldCtx, f_np, g_np, rows):
             yield b, cs[part], weights[part], transform_rows(ctx, f_np, g_np, b, cs[part])
 
 
+def _count_checked(counts: np.ndarray, b: int, w: np.ndarray, values: np.ndarray) -> None:
+    """Add the value counts of the transform rows values, row i counted w[i]
+    times, to counts, once every row's sum and Parseval are checked."""
+    order = counts.size - 1
+    if not (values.sum(axis=1, dtype=np.int64) == order).all():
+        raise ArithmeticError(f"transform row sum != 2^n at b={b}")
+    if not ((values.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
+        raise ArithmeticError(f"Parseval violated at b={b}")
+    for size in np.unique(w).tolist():
+        counts += size * _value_counts(order, values[w == size])
+
+
 def _folded_counts(ctx: FieldCtx, f_np, g_np, rows) -> np.ndarray:
     """Value counts of the rows (b, cs, weights), the row (b, cs[i]) counted
     weights[i] times.  Every row's sum and Parseval are checked."""
-    order = ctx.order
-    counts = np.zeros(order + 1, dtype=np.int64)
+    counts = np.zeros(ctx.order + 1, dtype=np.int64)
     for b, _, w, values in _row_batches(ctx, f_np, g_np, rows):
-        if not (values.sum(axis=1, dtype=np.int64) == order).all():
-            raise ArithmeticError(f"transform row sum != 2^n at b={b}")
-        if not ((values.astype(np.int64) ** 2).sum(axis=1) == order * order).all():
-            raise ArithmeticError(f"Parseval violated at b={b}")
-        for size in np.unique(w).tolist():
-            counts += size * _value_counts(order, values[w == size])
+        _count_checked(counts, b, w, values)
     return counts
 
 
@@ -292,16 +301,25 @@ def full_spectrum(ctx: FieldCtx, pair: MonomialPair) -> SpectrumReport:
     return SpectrumReport(histogram, five, witness)
 
 
-def single_table_spectrum(ctx: FieldCtx, table_np: np.ndarray) -> dict[int, int]:
-    """Histogram of sum_x (-1)^Tr(a*x + c*h(x)) over all a and all c != 0.
+def single_table_spectrum(ctx: FieldCtx, *tables: np.ndarray) -> dict[int, int]:
+    """Histogram of sum_x (-1)^Tr(a*x + c*h(x)) over all a and all c != 0,
+    summed over the tables h.
 
     Used for the dual-code strata where exactly one of the pair's functions
     has a zero coefficient.  When h is a power map x^d, x -> lambda*x gives
     F(a, 0, c) = F(lambda*a, 0, lambda^d*c), so only the rows c of
     `scaling_reps(ctx, d)` are computed, each counted for the coefficients
-    it stands for; any other table keeps every row.  Row sums and Parseval
+    it stands for; any other table keeps every row.  The rows of all the
+    tables run as one stack, cut by `_batches`, and row sums and Parseval
     are checked on every row computed.
     """
-    cs, per_c = scaling_reps(ctx, power_exponent(ctx, table_np))
-    counts = _folded_counts(ctx, table_np, table_np, [(0, cs, np.full_like(cs, per_c))])
+    reps = [scaling_reps(ctx, power_exponent(ctx, h)) for h in tables]
+    cs = np.concatenate([c for c, _ in reps])
+    weights = np.concatenate([np.full_like(c, per_c) for c, per_c in reps])
+    which = np.repeat(np.arange(len(tables)), [c.size for c, _ in reps])  # each row's table
+    counts = np.zeros(ctx.order + 1, dtype=np.int64)
+    for part in _batches(ctx.n, cs.size):
+        signs = np.concatenate([_signs(ctx, h, cs[part][which[part] == i])
+                                for i, h in enumerate(tables)])
+        _count_checked(counts, 0, weights[part], _walsh_hadamard(signs))
     return _as_histogram(ctx.order, counts)

@@ -16,7 +16,6 @@ from tecc import (
     FamilySpec,
     MonomialPair,
     NonIntegralResult,
-    ParityCheckMatrix,
     Syndrome,
     WeightDistribution,
     build_pair_index,
@@ -305,6 +304,106 @@ def loop_field_tables(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         trace[exp[:N]] ^= exp[powers]
         powers = powers * 2 % N
     return exp, log, trace
+
+
+def poly_mod(a: int, m: int) -> int:
+    """Remainder of the carryless division of a by m over GF(2)."""
+    dm = m.bit_length() - 1
+    da = a.bit_length() - 1
+    while da >= dm:
+        a ^= m << (da - dm)
+        da = a.bit_length() - 1
+    return a
+
+
+def is_irreducible(m: int) -> bool:
+    """Exhaustive trial division by every polynomial of degree 1..deg(m)/2."""
+    deg = m.bit_length() - 1
+    if deg < 1:
+        return False
+    for d in range(2, 1 << (deg // 2 + 1)):
+        if poly_mod(m, d) == 0:
+            return False
+    return True
+
+
+def smallest_irreducible(n: int) -> int:
+    """Lexicographically smallest irreducible polynomial of degree n."""
+    # Even bitmasks are divisible by x, so only odd candidates are scanned.
+    for m in range((1 << n) + 1, 1 << (n + 1), 2):
+        if is_irreducible(m):
+            return m
+    raise ValueError(f"no irreducible polynomial of degree {n}")
+
+
+def prime_factors(v: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= v:
+        if v % p == 0:
+            out.append(p)
+            while v % p == 0:
+                v //= p
+        p += 1
+    if v > 1:
+        out.append(v)
+    return out
+
+
+def mul_raw(a: int, b: int, modulus: int) -> int:
+    """Carryless multiply mod the modulus, no tables."""
+    top = 1 << (modulus.bit_length() - 1)
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return p
+
+
+def pow_raw(x: int, e: int, modulus: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_raw(r, x, modulus)
+        x = mul_raw(x, x, modulus)
+        e >>= 1
+    return r
+
+
+def find_generator(modulus: int) -> int:
+    """Smallest element generating the multiplicative group mod an
+    irreducible modulus."""
+    group_order = (1 << (modulus.bit_length() - 1)) - 1
+    cofactors = [group_order // p for p in prime_factors(group_order)]
+    for cand in range(2, group_order + 1):
+        if all(pow_raw(cand, c, modulus) != 1 for c in cofactors):
+            return cand
+    raise AssertionError("no generator found")
+
+
+def trace_powersum(ctx, x: int) -> int:
+    """Tr(x) = x + x^2 + x^4 + ... + x^(2^(n-1)), evaluated directly."""
+    t = acc = x
+    for _ in range(ctx.n - 1):
+        t = ctx._mul_raw(t, t)
+        acc ^= t
+    assert acc in (0, 1), "trace landed outside GF(2)"
+    return acc
+
+
+def frobenius_walk_orbits(ctx, cs, bs=0) -> tuple[np.ndarray, np.ndarray]:
+    """spectrum.frobenius_orbits by frobenius_array(x, j) for each j, every
+    image taken from the pair itself rather than from the previous square."""
+    b, c, fixed = np.asarray(bs), np.asarray(cs), 1
+    key = low = b << ctx.n | c
+    for j in range(1, ctx.n):
+        image = ctx.frobenius_array(b, j) << ctx.n | ctx.frobenius_array(c, j)
+        low, fixed = np.minimum(low, image), fixed + (image == key)
+    return low, ctx.n // fixed
 
 
 def direct_spectrum(ctx, pair, b: int, c: int) -> np.ndarray:
@@ -695,8 +794,9 @@ def scalar_weight3_syndromes_distinct(ctx, pair) -> bool:
     return True
 
 
-def loop_parity_check(ctx, pair) -> ParityCheckMatrix:
-    """build_parity_check as a Python loop over every column and bit."""
+def loop_parity_check(ctx, pair) -> list[int]:
+    """The row ints of build_parity_check, by a Python loop over every
+    column and bit."""
     n = ctx.n
     rows = [0] * (3 * n)
     for j in range(1, ctx.order):
@@ -710,7 +810,7 @@ def loop_parity_check(ctx, pair) -> ParityCheckMatrix:
                 rows[n + i] |= bit
             if (gx >> i) & 1:
                 rows[2 * n + i] |= bit
-    return ParityCheckMatrix(n, ctx.order - 1, rows)
+    return rows
 
 
 def xor_encode(rows: list[int], message: int) -> int:

@@ -258,12 +258,28 @@ def test_weight3_scan_detects_double_error_bch():
     assert not scalar_weight3_syndromes_distinct(ctx, bch)
 
 
-@pytest.mark.parametrize("family, n", [(f, n) for n in (5, 7, 9) for f in FAMILIES]
+@pytest.mark.parametrize("family, n", [(f, n) for n in (5, 7, 9, 11) for f in FAMILIES]
                          + [("kasami5", 13)])
 def test_parity_check_matches_loop_oracle(family, n):
+    # the rows unpacked from the packed columns, and the array rank of those
+    # columns, against the bit loop and the Python-int elimination
+    ctx, pair = get_ctx(n), get_pair(family, n)
+    H = build_parity_check(ctx, pair)
+    assert H.rows == loop_parity_check(ctx, pair)
+    assert H.rank == tecc.gf2.row_reduce(H.rows, H.ncols)[0] == 3 * n
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_rank_defects_keep_their_message(n):
+    # f = g drops a block; f = x repeats the first one; f = g = x keeps one
     ctx = get_ctx(n)
-    pair = get_pair(family, n)
-    assert build_parity_check(ctx, pair) == loop_parity_check(ctx, pair)
+    ident, cube = power_table(ctx, 1), power_table(ctx, 3)
+    for f, g, rank in ((cube, cube, 2 * n), (ident, cube, 2 * n), (ident, ident, n)):
+        H = build_parity_check(ctx, MonomialPair(n, 1, 3, f, g))
+        assert H.rank == tecc.gf2.row_reduce(H.rows, H.ncols)[0] == rank
+        with pytest.raises(RankDefect) as exc:
+            rank_and_dimension(H)
+        assert str(exc.value) == f"rank {rank} < 3n = {3 * n}"
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -278,7 +294,8 @@ def test_systematic_encode_matches_row_xor(n):
 
 
 def test_systematic_generator_memory_at_n13():
-    # the encoder is read off H's RREF; no k-row nullspace basis is built
+    # the encoder is read off H's RREF; no k-row nullspace basis is built,
+    # and H's rows are unpacked from its columns one bit plane at a time
     H = build_parity_check(get_ctx(13), get_pair("gold2", 13))
     tracemalloc.start()
     try:
@@ -304,9 +321,13 @@ def test_k_and_n_minus_k_give_the_same_code(family, n):
         assert H.echelon == mirror.echelon
 
 
-def test_verify_row_reduces_H_once(monkeypatch, capsys):
+def test_verify_ranks_H_once(monkeypatch, capsys):
+    # rank_and_dimension runs twice, in the parameters stage and under the
+    # dual strata; the packed columns are eliminated once, and no stage
+    # needs the Python-int rows or their RREF
     calls = []
-    row_reduce = tecc.gf2.row_reduce
-    monkeypatch.setattr(tecc.gf2, "row_reduce", lambda *a: calls.append(1) or row_reduce(*a))
+    for name in ("rank_array", "row_reduce"):
+        fn = getattr(tecc.gf2, name)
+        monkeypatch.setattr(tecc.gf2, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
     assert main(["verify", "gold2", "--n", "7"]) == 0
-    assert len(calls) == 1
+    assert calls == ["rank_array"]

@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 import tecc
-from tecc.field import FieldCtx, SUPPORTED_DEGREES, is_irreducible, make_ctx, poly_mod
+from tecc.field import FIELD_CONSTANTS, FieldCtx, SUPPORTED_DEGREES, make_ctx
 
-from helpers import get_ctx, loop_field_tables
+from helpers import (
+    find_generator,
+    get_ctx,
+    is_irreducible,
+    loop_field_tables,
+    poly_mod,
+    smallest_irreducible,
+    trace_powersum,
+)
 
 # Smallest irreducible modulus per degree, frozen from the exhaustive scan.
 EXPECTED_MODULI = {
@@ -56,6 +64,32 @@ def test_modulus_is_smallest_irreducible():
 def test_modulus_pins_all_degrees():
     for n in SUPPORTED_DEGREES:
         assert get_ctx(n).modulus == EXPECTED_MODULI[n]
+
+
+@pytest.mark.parametrize("n", SUPPORTED_DEGREES)
+def test_tabled_constants_equal_the_searches(n):
+    # the table against the modulus and generator searches, and the trace
+    # mask read off the exp table against the power-sum trace of each basis
+    # element
+    modulus, generator = FIELD_CONSTANTS[n]
+    assert modulus == smallest_irreducible(n) == EXPECTED_MODULI[n]
+    assert generator == find_generator(modulus)
+    ctx = make_ctx(n)
+    assert (ctx.modulus, ctx.generator) == (modulus, generator)
+    assert ctx.trace_mask == sum(trace_powersum(ctx, 1 << j) << j for j in range(n))
+
+
+@pytest.mark.parametrize("entry", [(0x203, 2), (0x203, 1), (0x201, 2), (0x209, 2)])
+def test_constants_that_are_no_field_are_refused(monkeypatch, entry):
+    # at n = 9, 2 has order 73 mod x^9 + x + 1 and 1 order 1; x^9 + 1 and
+    # x^9 + x^3 + 1 factor, so no element generates their nonzero residues
+    monkeypatch.setitem(FIELD_CONSTANTS, 9, entry)
+    with pytest.raises(ValueError, match="does not generate"):
+        FieldCtx(9)
+
+
+def test_make_ctx_builds_a_new_context_each_call():
+    assert make_ctx(7) is not make_ctx(7)
 
 
 def test_quintic_scan_details():
@@ -104,7 +138,7 @@ def test_trace_basis_values_against_raw_arithmetic():
     for n in (5, 7, 9):
         ctx = get_ctx(n)
         for j in range(n):
-            assert int(ctx.trace_table[1 << j]) == ctx._trace_powersum(1 << j)
+            assert int(ctx.trace_table[1 << j]) == trace_powersum(ctx, 1 << j)
 
 
 def test_trace_linearity_and_frobenius_invariance():

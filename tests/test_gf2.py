@@ -55,3 +55,20 @@ def test_rank_array_matches_row_reduce(ncols):
     got = [rank_array(np.array(batch, dtype=np.int64), ncols).tolist() for batch in batches]
     assert got == [[row_reduce(rows, ncols)[0] for rows in batch] for batch in batches]
     assert got[0][:2] == [0, 1] and got[1][-1] == ncols
+
+
+@pytest.mark.parametrize("ncols", [32, 33, 39, 51, 63])
+def test_rank_array_in_int64_lanes_matches_row_reduce(ncols):
+    # rows of 32 to 63 bits take int64 lanes: square matrices as above, and
+    # tall ones shaped like a parity-check matrix's packed columns
+    rng = random.Random(ncols)
+    matrices = _matrices(rng, ncols)
+    ranks = rank_array(np.array(matrices, dtype=np.int64), ncols)
+    assert ranks.tolist() == [row_reduce(rows, ncols)[0] for rows in matrices]
+    assert (ranks[2:6] == ncols).all()
+    size = 1 << ncols
+    tall = [[rng.randrange(size) for _ in range(300)] for _ in range(3)]
+    tall.append([rng.randrange(size >> 1, size) >> 30 << 30 for _ in range(300)])
+    got = rank_array(np.array(tall, dtype=np.int64), ncols).tolist()
+    assert got == [row_reduce(rows, ncols)[0] for rows in tall]
+    assert got[:3] == [ncols] * 3 and got[3] == ncols - 30

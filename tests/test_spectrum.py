@@ -26,6 +26,7 @@ from tecc import (
 from helpers import (
     FAMILIES,
     direct_spectrum,
+    frobenius_walk_orbits,
     fwht_inplace,
     gather_transform_rows,
     get_ctx,
@@ -315,16 +316,58 @@ def test_cyclotomic_cosets_partition_the_nonzero_elements(n):
 
 
 def test_cyclotomic_cosets_run_frobenius_on_c_alone(monkeypatch):
-    # every b is 0: Frobenius may see it as a scalar, never as an array, so
-    # the only arrays it maps are the n - 1 images of the cs
+    # every b is 0: its squarings see it as a scalar, never as an array, so
+    # the only arrays squared are the cs and their first n - 2 images
     ctx = get_ctx(9)
     want = frobenius_reps(ctx)
-    frobenius_array, seen = ctx.frobenius_array, []
-    monkeypatch.setattr(ctx, "frobenius_array", lambda x, k: seen.append(x) or frobenius_array(x, k))
+    mul_array, seen = ctx.mul_array, []
+    monkeypatch.setattr(ctx, "mul_array", lambda x, y: seen.append((x, y)) or mul_array(x, y))
     got = frobenius_reps(ctx)
-    arrays = [x for x in seen if np.ndim(x)]
-    assert len(arrays) == ctx.n - 1 and all(x.all() for x in arrays)
+    assert all(x is y for x, y in seen) and len(seen) == 2 * (ctx.n - 1)
+    arrays = [x for x, _ in seen if np.ndim(x)]
+    scalars = [x for x, _ in seen if not np.ndim(x)]
+    cs = np.arange(1, ctx.order)
+    assert [x.tolist() for x in arrays] == [ctx.frobenius_array(cs, j).tolist() for j in range(ctx.n - 1)]
+    assert len(scalars) == ctx.n - 1 and not any(scalars)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+def test_squaring_orbits_equal_the_frobenius_walk(n):
+    # on all of L* with b = 0, and on seeded (b, c) with zeros and the
+    # subfield elements that short orbits come from
+    ctx = get_ctx(n)
+    cs = np.arange(1, ctx.order)
+    pairs = [spectrum.frobenius_orbits(ctx, cs), frobenius_walk_orbits(ctx, cs)]
+    rng = np.random.default_rng(n)
+    b, c = rng.integers(0, ctx.order, (2, 3000))
+    b[:100], c[100:200], c[200:300] = 0, 0, b[200:300]
+    b[300:301] = c[300:301] = 1
+    if n == 9:
+        b[301:308] = c[301:308] = [ctx.pow(ctx.generator, 73 * i) for i in range(7)]  # GF(8)*
+    pairs += [spectrum.frobenius_orbits(ctx, c, b), frobenius_walk_orbits(ctx, c, b)]
+    for (low, size), (want_low, want_size) in zip(pairs[::2], pairs[1::2]):
+        assert np.array_equal(low, want_low) and np.array_equal(size, want_size)
+    sizes = set(pairs[2][1].tolist())
+    assert {1, n} <= sizes <= {d for d in range(1, n + 1) if n % d == 0}
+    assert (3 in sizes) == (n == 9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_batched_strata_equal_one_table_calls(monkeypatch, family, n):
+    # one stack for the pair's two tables and a table that is no power map
+    # (x^3 + x keeps all of its 2^n - 1 rows); three rows a slice, so
+    # slices run across the tables' boundaries
+    ctx = get_ctx(n)
+    pair = get_pair(family, n)
+    other = np.bitwise_xor(pair.f_np, np.arange(ctx.order))
+    assert power_exponent(ctx, other) is None
+    tables = (pair.f_np, pair.g_np, other)
+    want = [Counter(single_table_spectrum(ctx, t)) for t in tables]
+    monkeypatch.setattr(spectrum, "_BATCH_CELLS", 3 << n)
+    assert single_table_spectrum(ctx, pair.f_np, pair.g_np) == want[0] + want[1]
+    assert single_table_spectrum(ctx, *tables) == want[0] + want[1] + want[2]
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
